@@ -53,6 +53,10 @@ class BoundCheck:
         }
 
 
+class UsageError(Exception):
+    """A flag value the command cannot run with; exits with code 2."""
+
+
 # ---------------------------------------------------------------------------
 # serialization helpers
 
@@ -143,7 +147,13 @@ def _cmd_tile(args) -> int:
 # cover
 
 def _cmd_cover(args) -> int:
+    if args.d < 0:
+        raise UsageError(f"--d must be nonnegative, got {args.d}")
+    if args.resolution < 1:
+        raise UsageError(f"--resolution must be a positive integer, got {args.resolution}")
     lattice = _load_lattice(args.lattice)
+    if lattice.dim != args.n:
+        raise UsageError(f"--n is {args.n} but the lattice has dimension {lattice.dim}")
     verdict = covers_discrete(args.n, args.d, lattice)
     record = {
         "n": args.n,
@@ -511,7 +521,7 @@ def main(argv=None) -> int:
     except CayleyCoverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,9 +6,18 @@ exactly when the lattice's Cayley tile has M-diameter at most d, which is
 how the covering decision is made here; the exact covering density is then
 the simplex size over the lattice determinant.
 
-The continuous side is handled by falsification only: a grid scan over one
-fundamental box either produces an uncovered rational point (a proof of
-non-covering) or comes back empty (evidence, not proof).
+The continuous side is read off the same tile.  Write x = z + t with z
+integer and t in [0, 1)^n.  For a lattice vector v, x - v >= 0 forces
+z - v >= 0 (each z_i - v_i is an integer above -1), and the converse
+holds as t >= 0.  So x is covered iff some nonnegative point of z's coset has norm at
+most D - sum(t); the least such norm is dist(z), the norm of the tile point
+in z's coset:
+
+    x is covered  iff  dist(z) + sum(t) <= D.
+
+As dist reaches the tile diameter d(L) and sum(t) ranges over [0, n), the
+lattice plus the solid radius-D simplex covers R^n iff D >= d(L) + n: the
+discrete-to-continuous lift from d to d + n is tight.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch, NotACovering, SingularAfterRounding, SingularBasis
-from .lattices import IntegerLattice, hnf_normalize
+from .lattices import IntegerLattice, hnf_normalize, reduce_mod
 from .tiles import Point, build_tile, enumerate_orthant_prec
 
 
@@ -95,6 +104,12 @@ class ContinuousLift:
 def lift_to_continuous(n: int, d: int, lattice: IntegerLattice) -> ContinuousLift:
     """Continuous covering implied by a discrete one: radius grows to d+n.
 
+    The lift is tight: the solid radius-D simplex covers R^n under L iff
+    D >= d(L) + n.  Proof (module docstring): with t in [0, 1)^n, any
+    lattice vector v with z + t - v >= 0 has z - v >= 0, so z + t is
+    covered iff dist(z) + sum(t) <= D; below d(L) + n, the diameter tile
+    point plus (1 - e) in every coordinate is uncovered for small e > 0.
+
     The reported density is vol(solid simplex of radius d+n) / det as an
     exact rational, i.e. (d+n)^n / (n! * det).
     """
@@ -119,62 +134,39 @@ def round_scaled_lattice(real_basis: Sequence[Sequence[float]], k: float) -> Int
         ) from exc
 
 
-def _lattice_points_in_box(lattice: IntegerLattice, lo, hi) -> Iterator[Point]:
-    """Lattice vectors v with lo <= v <= hi componentwise (rational bounds).
-
-    Walks integer combinations of the HNF rows back to front; each step pins
-    one coordinate, so the ranges are exact and the enumeration complete.
-    """
-    n = lattice.dim
-    basis = lattice.basis
-
-    def rec(i: int, acc: list):
-        if i < 0:
-            yield tuple(acc)
-            return
-        d = basis[i][i]
-        zlo = math.ceil(Fraction(lo[i] - acc[i], d))
-        zhi = math.floor(Fraction(hi[i] - acc[i], d))
-        # descending: vectors close to the upper corner come out first,
-        # which lets covering queries succeed after a few candidates
-        for z in range(zhi, zlo - 1, -1):
-            nxt = [acc[j] + z * basis[i][j] for j in range(n)]
-            yield from rec(i - 1, nxt)
-
-    yield from rec(n - 1, [0] * n)
-
-
 def continuous_cover_falsify(
     n: int,
     D,
     lattice: IntegerLattice,
     resolution: int = 4,
 ) -> Optional[tuple[Fraction, ...]]:
-    """Search one fundamental box for a point no simplex translate covers.
+    """First point of the grid (1/resolution) * Z^n in the fundamental box
+    that no simplex translate covers, or None.
 
-    Scans the grid (1/resolution) * Z^n inside the fundamental box.  A point
-    p is covered iff some lattice vector v satisfies p - v >= 0 with
-    coordinate sum at most D; candidate vectors live in the box
-    [p_i - D, p_i]^n.  Returns the lexicographically first uncovered sample,
-    or None.  None is evidence of covering, a witness is a proof of
-    non-covering.
+    The grid is walked in lexicographic order and each point z + t, t in
+    [0, 1)^n, is decided exactly: covered iff dist(z) + sum(t) <= D, where
+    dist(z) is the norm of the tile point in z's coset, because a lattice
+    vector v with z + t - v >= 0 has z - v >= 0 (module docstring).  As
+    sum(t) < n, L covers R^n iff D >= d(L) + n; there None is returned at
+    once and is a proof.  A returned point is a proof of non-covering.
     """
     if lattice.dim != n:
         raise DimensionMismatch(f"lattice has dimension {lattice.dim}, not {n}")
     if resolution < 1:
         raise ValueError("resolution must be a positive integer")
     D = Fraction(D)
-    diag = lattice.diagonal
-    for t in product(*(range(resolution * diag[i]) for i in range(n))):
-        p = tuple(Fraction(ti, resolution) for ti in t)
-        if not _point_covered(p, D, lattice):
-            return p
+    tile = build_tile(lattice)
+    if D >= tile.m_diameter + n:
+        return None
+    # keyed by the coset's point in the fundamental box; grid points are
+    # (z * r + k) / r with 0 <= k < r, decided in integers
+    dist = {reduce_mod(lattice, p): sum(p) for p in tile.points}
+    bound = math.floor(D * resolution)
+    axes = [
+        [divmod(g, resolution) for g in range(resolution * m)] for m in lattice.diagonal
+    ]
+    for cell in product(*axes):
+        z = tuple(q for q, _ in cell)
+        if dist[z] * resolution + sum(k for _, k in cell) > bound:
+            return tuple(Fraction(q * resolution + k, resolution) for q, k in cell)
     return None
-
-
-def _point_covered(p, D: Fraction, lattice: IntegerLattice) -> bool:
-    lo = [pi - D for pi in p]
-    for v in _lattice_points_in_box(lattice, lo, p):
-        if all(pi >= vi for pi, vi in zip(p, v)) and sum(p) - sum(v) <= D:
-            return True
-    return False

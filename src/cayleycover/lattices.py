@@ -157,6 +157,33 @@ def reduce_mod(lattice: IntegerLattice, x: Sequence[int]) -> tuple[int, ...]:
     return tuple(r)
 
 
+def lattice_points_in_box(
+    lattice: IntegerLattice, lo: Sequence[int], hi: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    """Lattice vectors v with ``lo[i] <= v[i] <= hi[i]`` for every i.
+
+    Walks integer combinations of the HNF rows from the last row to the
+    first.  Rows below i have no entry in column i, so choosing the
+    coefficient of row i pins coordinate i: the ranges are exact and the
+    enumeration complete, and only lattice vectors are ever visited.
+    """
+    n = lattice.dim
+    basis = lattice.basis
+
+    def rec(i: int, acc: tuple[int, ...]):
+        if i < 0:
+            yield acc
+            return
+        row = basis[i]
+        step = row[i]
+        for z in range(-((acc[i] - lo[i]) // step), (hi[i] - acc[i]) // step + 1):
+            yield from rec(
+                i - 1, tuple(a + z * b for a, b in zip(acc, row[: i + 1])) + acc[i + 1 :]
+            )
+
+    yield from rec(n - 1, (0,) * n)
+
+
 def same_coset(lattice: IntegerLattice, x: Sequence[int], y: Sequence[int]) -> bool:
     """True iff ``x - y`` is a lattice vector."""
     return reduce_mod(lattice, x) == reduce_mod(lattice, y)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _tilescan_py as _pure
 from .errors import DimensionMismatch, MultipleMinimalNotches, NotACovering
-from .lattices import IntegerLattice, reduce_mod
+from .lattices import IntegerLattice, lattice_points_in_box, reduce_mod
 
 try:
     from . import _tilescan as _compiled
@@ -116,12 +116,16 @@ class CayleyTile:
     dim: int
     points: tuple[Point, ...]
     m_diameter: int
-    notch: Optional[Point]
     source_lattice: IntegerLattice
 
     @cached_property
     def point_set(self) -> frozenset[Point]:
         return frozenset(self.points)
+
+    @cached_property
+    def notch(self) -> Optional[Point]:
+        """The tile's notch (see :func:`find_notch`), found on first use."""
+        return find_notch(self)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -141,14 +145,10 @@ def build_tile(lattice: IntegerLattice) -> CayleyTile:
     largest norm equals the diameter of the quotient Cayley digraph.
     """
     complete, diameter, points = _scan(lattice, -1)
-    assert complete
-    notch = _notch_of_points(frozenset(points), lattice.dim)
+    if not complete:
+        raise RuntimeError("unpruned tile scan stopped before reaching every coset")
     return CayleyTile(
-        dim=lattice.dim,
-        points=points,
-        m_diameter=diameter,
-        notch=notch,
-        source_lattice=lattice,
+        dim=lattice.dim, points=points, m_diameter=diameter, source_lattice=lattice
     )
 
 
@@ -182,13 +182,20 @@ def _maximal_antichain(points: frozenset[Point]) -> list[Point]:
     return frontier
 
 
-def _notch_of_points(points: frozenset[Point], n: int) -> Optional[Point]:
+def find_notch(tile: CayleyTile) -> Optional[Point]:
+    """Unique minimal point outside the tile whose projections are all
+    silhouette-dominated, or None when no such point exists.
+
+    Candidates are scanned over the box ``[0, axis max + 1]`` per axis; any
+    point beyond that has a projection outside the silhouette.  Raises
+    :class:`MultipleMinimalNotches` when minimality fails, which would
+    contradict the single-notch structure of lattice tiles.
+    """
+    n = tile.dim
+    points = tile.point_set
     maxes = [max(p[i] for p in points) for i in range(n)]
     # frontiers of the zeroed projections; axis i ignores coordinate i
-    frontiers = []
-    for axis in range(n):
-        proj = frozenset(p[:axis] + (0,) + p[axis + 1 :] for p in points)
-        frontiers.append(_maximal_antichain(proj))
+    frontiers = [_maximal_antichain(proj) for proj in silhouette(tile).projections]
 
     def silhouette_dominated(p: Point, axis: int) -> bool:
         return any(
@@ -226,18 +233,6 @@ def _notch_of_points(points: frozenset[Point], n: int) -> Optional[Point]:
     return notch
 
 
-def find_notch(tile: CayleyTile) -> Optional[Point]:
-    """Unique minimal point outside the tile whose projections are all
-    silhouette-dominated, or None when no such point exists.
-
-    Candidates are scanned over the box ``[0, axis max + 1]`` per axis; any
-    point beyond that has a projection outside the silhouette.  Raises
-    :class:`MultipleMinimalNotches` when minimality fails, which would
-    contradict the single-notch structure of lattice tiles.
-    """
-    return _notch_of_points(tile.point_set, tile.dim)
-
-
 def is_tiling(points, lattice: IntegerLattice) -> bool:
     """True iff the points are one representative of every coset."""
     pts = list(points)
@@ -263,47 +258,6 @@ def _graded_positive(v: Sequence[int]) -> bool:
     return False
 
 
-def _positive_lattice_vectors_in_cube(lattice: IntegerLattice, d: int) -> list[Point]:
-    """Graded-positive lattice vectors in [-d, d]^n, by reducing every cube
-    point."""
-    n = lattice.dim
-    side = 2 * d + 1
-    diag = lattice.diagonal
-    if lattice.det > _COMPILED_DET_LIMIT:
-        # keep exact big-int arithmetic for huge determinants
-        return [
-            p
-            for p in product(range(-d, d + 1), repeat=n)
-            if _graded_positive(p) and reduce_mod(lattice, p) == (0,) * n
-        ]
-    rows = np.asarray(lattice.basis, dtype=np.int64)
-    if n > 1:
-        tail = (
-            np.indices((side,) * (n - 1), dtype=np.int64).reshape(n - 1, -1).T - d
-        )
-    else:
-        tail = np.zeros((1, 0), dtype=np.int64)
-    out = []
-    for x0 in range(-d, d + 1):  # slab over the leading axis to bound memory
-        pts = np.concatenate(
-            [np.full((tail.shape[0], 1), x0, dtype=np.int64), tail], axis=1
-        )
-        r = pts.copy()
-        for i in range(n - 1, -1, -1):
-            q = r[:, i] // diag[i]
-            r[:, : i + 1] -= q[:, None] * rows[i, : i + 1][None, :]
-        members = pts[(r == 0).all(axis=1)]
-        sums = members.sum(axis=1)
-        positive = sums > 0
-        undecided = sums == 0
-        for j in range(n):  # lex sign of the zero-sum vectors
-            col = members[:, j]
-            positive |= undecided & (col > 0)
-            undecided &= col == 0
-        out.extend(tuple(int(a) for a in v) for v in members[positive])
-    return out
-
-
 def tile_from_difference(lattice: IntegerLattice, d: int) -> frozenset[Point]:
     """Simplex of radius d minus its translates by graded-positive lattice
     vectors.
@@ -325,7 +279,8 @@ def tile_from_difference(lattice: IntegerLattice, d: int) -> frozenset[Point]:
     n = lattice.dim
     clamped = {
         tuple(max(a, 0) for a in v)
-        for v in _positive_lattice_vectors_in_cube(lattice, d)
+        for v in lattice_points_in_box(lattice, (-d,) * n, (d,) * n)
+        if _graded_positive(v)
     }
     minimal: list[Point] = []
     for v in sorted(clamped, key=prec_key):  # cones nest, keep the minimal ones
@@ -341,7 +296,10 @@ def tile_from_difference(lattice: IntegerLattice, d: int) -> frozenset[Point]:
         if not covered[p]:
             pts.append(p)
     result = frozenset(pts)
-    assert len(result) == lattice.det, "difference set must be a tiling complement"
+    if len(result) != lattice.det:
+        raise RuntimeError(
+            f"difference set has {len(result)} points, expected det = {lattice.det}"
+        )
     return result
 
 

@@ -3,14 +3,20 @@
 Everything here is deliberately independent of the package's own code
 paths: determinants by Laplace expansion, diameters by breadth-first
 search over coset residues, notch candidates by a direct scan of the
-definition.  Tests compare package output against these.
+definition, continuous coverings by the grid falsifier that enumerates
+candidate lattice vectors in a box for every grid point, difference-tile
+vectors by reducing every point of the cube.  Tests compare package output
+against these.
 """
 
 import itertools
+import math
 import random
 from collections import deque
+from fractions import Fraction
+from itertools import product
 
-from cayleycover import IntegerLattice, reduce_mod
+from cayleycover import DimensionMismatch, IntegerLattice, reduce_mod
 from cayleycover.lattices import divisors
 
 
@@ -138,3 +144,74 @@ def simplex_points_brute(n, d):
     return {
         p for p in itertools.product(range(d + 1), repeat=n) if sum(p) <= d
     }
+
+
+def cube_positive_lattice_vectors(lattice, d):
+    """Graded-positive lattice vectors in [-d, d]^n, by reducing every cube
+    point."""
+    n = lattice.dim
+    out = set()
+    for p in itertools.product(range(-d, d + 1), repeat=n):
+        if reduce_mod(lattice, p) != (0,) * n:
+            continue
+        s = sum(p)
+        nonzero = [a for a in p if a]
+        if s > 0 or (s == 0 and nonzero and nonzero[0] > 0):
+            out.add(p)
+    return out
+
+
+def _lattice_points_in_box(lattice, lo, hi):
+    """Lattice vectors v with lo <= v <= hi componentwise (rational bounds).
+
+    Walks integer combinations of the HNF rows back to front; each step pins
+    one coordinate, so the ranges are exact and the enumeration complete.
+    """
+    n = lattice.dim
+    basis = lattice.basis
+
+    def rec(i: int, acc: list):
+        if i < 0:
+            yield tuple(acc)
+            return
+        d = basis[i][i]
+        zlo = math.ceil(Fraction(lo[i] - acc[i], d))
+        zhi = math.floor(Fraction(hi[i] - acc[i], d))
+        # descending: vectors close to the upper corner come out first,
+        # which lets covering queries succeed after a few candidates
+        for z in range(zhi, zlo - 1, -1):
+            nxt = [acc[j] + z * basis[i][j] for j in range(n)]
+            yield from rec(i - 1, nxt)
+
+    yield from rec(n - 1, [0] * n)
+
+
+def grid_cover_falsify(n, D, lattice, resolution=4):
+    """Search one fundamental box for a point no simplex translate covers.
+
+    Scans the grid (1/resolution) * Z^n inside the fundamental box.  A point
+    p is covered iff some lattice vector v satisfies p - v >= 0 with
+    coordinate sum at most D; candidate vectors live in the box
+    [p_i - D, p_i]^n.  Returns the lexicographically first uncovered sample,
+    or None.  None is evidence of covering, a witness is a proof of
+    non-covering.
+    """
+    if lattice.dim != n:
+        raise DimensionMismatch(f"lattice has dimension {lattice.dim}, not {n}")
+    if resolution < 1:
+        raise ValueError("resolution must be a positive integer")
+    D = Fraction(D)
+    diag = lattice.diagonal
+    for t in product(*(range(resolution * diag[i]) for i in range(n))):
+        p = tuple(Fraction(ti, resolution) for ti in t)
+        if not grid_point_covered(p, D, lattice):
+            return p
+    return None
+
+
+def grid_point_covered(p, D: Fraction, lattice):
+    lo = [pi - D for pi in p]
+    for v in _lattice_points_in_box(lattice, lo, p):
+        if all(pi >= vi for pi, vi in zip(p, v)) and sum(p) - sum(v) <= D:
+            return True
+    return False

@@ -70,6 +70,19 @@ def test_cover_exit_codes(lattice_file, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["covered"] is False and record["witness"] == [0, 2]
 
+    # bad flags are usage errors: one line on stderr, nothing on stdout
+    for flags in (
+        ["--n", "2", "--d", "-1"],
+        ["--n", "3", "--d", "2"],
+        ["--n", "1", "--d", "2"],
+        ["--n", "2", "--d", "2", "--continuous", "--resolution", "0"],
+        ["--n", "2", "--d", "2", "--resolution", "-3"],
+    ):
+        assert main(["cover", *flags, "--lattice", lattice_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 def test_cover_continuous(lattice_file, box_lattice_file, capsys):
     code = main(

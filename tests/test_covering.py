@@ -20,8 +20,16 @@ from cayleycover import (
     reduce_mod,
     round_scaled_lattice,
     simplex_size,
+    tile_from_difference,
 )
-from conftest import make_corpus, simplex_points_brute
+from cayleycover import tiles
+from conftest import (
+    grid_cover_falsify,
+    grid_point_covered,
+    make_corpus,
+    random_hnf,
+    simplex_points_brute,
+)
 
 L5 = hnf_normalize([(5, 0), (3, 1)])
 L22 = hnf_normalize([(2, 0), (0, 2)])
@@ -185,3 +193,42 @@ def test_falsifier_broken_instance():
 def test_falsifier_resolution_validation():
     with pytest.raises(ValueError):
         continuous_cover_falsify(2, 2, L22, 0)
+
+
+def test_falsifier_matches_grid_oracle():
+    rng = random.Random(45)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        lat = random_hnf(rng, n, 30)
+        top = build_tile(lat).m_diameter + n
+        radii = [top, top - Fraction(1, 8), top - 1, Fraction(rng.randint(0, 4 * top), 4)]
+        for D in radii:
+            r = rng.randint(1, 4)
+            expected = grid_cover_falsify(n, D, lat, r)
+            assert continuous_cover_falsify(n, D, lat, r) == expected, (lat, D, r)
+
+
+def test_continuous_cover_threshold_is_diameter_plus_n():
+    # L + solid radius-D simplex covers R^n iff D >= d(L) + n: the lift is tight
+    for lat in make_corpus(46, [(2, 30, 12)]) + [L5, L22, I2]:
+        top = build_tile(lat).m_diameter + 2
+        assert continuous_cover_falsify(2, top, lat, 17) is None
+        witness = continuous_cover_falsify(2, top - Fraction(1, 8), lat, 17)
+        assert witness is not None
+        assert not grid_point_covered(witness, top - Fraction(1, 8), lat)
+
+
+def test_covering_queries_skip_notch_detection(monkeypatch):
+    def no_notch(tile):
+        raise AssertionError("notch detection ran")
+
+    monkeypatch.setattr(tiles, "find_notch", no_notch)
+    for lat in (L5, L22, I2, *make_corpus(47, [(2, 30, 5), (3, 20, 5)])):
+        n = lat.dim
+        d = build_tile(lat).m_diameter
+        assert covers_discrete(n, d, lat).covered
+        assert len(tile_from_difference(lat, d)) == lat.det
+        assert continuous_cover_falsify(n, d + n, lat, 2) is None
+        continuous_cover_falsify(n, d + n - 1, lat, 2)
+    monkeypatch.undo()
+    assert build_tile(L5).notch == (1, 2)

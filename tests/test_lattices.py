@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,7 +16,14 @@ from cayleycover import (
     reduce_mod,
     same_coset,
 )
-from conftest import det_laplace, random_full_rank_matrix, sigma_divisors, unimodular_mix
+from cayleycover.lattices import lattice_points_in_box
+from conftest import (
+    det_laplace,
+    make_corpus,
+    random_full_rank_matrix,
+    sigma_divisors,
+    unimodular_mix,
+)
 
 L5_ROWS = [(5, 0), (-2, 1)]
 
@@ -177,3 +185,16 @@ def test_lattice_json_roundtrip():
     assert lattice_from_json_dict({"n": 2, "basis": [[5, 0], [-2, 1]]}) == lat
     with pytest.raises(ValueError):
         lattice_from_json_dict({"basis": [[1]]})
+
+
+def test_lattice_points_in_box_matches_reduction():
+    rng = random.Random(17)
+    for lat in make_corpus(18, [(1, 20, 5), (2, 40, 10), (3, 30, 10)]):
+        n = lat.dim
+        lo = [rng.randint(-6, 2) for _ in range(n)]
+        hi = [a + rng.randint(-1, 7) for a in lo]
+        box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+        expected = {p for p in box if reduce_mod(lat, p) == (0,) * n}
+        found = list(lattice_points_in_box(lat, lo, hi))
+        assert len(found) == len(set(found))
+        assert set(found) == expected

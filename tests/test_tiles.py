@@ -18,7 +18,8 @@ from cayleycover import (
     silhouette,
     tile_from_difference,
 )
-from cayleycover import _tilescan_py
+from cayleycover import _tilescan_py, tiles
+from cayleycover.lattices import lattice_points_in_box
 from cayleycover.tiles import prec_key
 
 try:
@@ -29,6 +30,7 @@ except ImportError:
 from conftest import (
     bfs_quotient_diameter,
     brute_notch_candidates,
+    cube_positive_lattice_vectors,
     make_corpus,
     simplex_points_brute,
 )
@@ -162,6 +164,28 @@ def test_tile_from_difference_examples():
     assert tile_from_difference(L22, 2) == frozenset(
         {(0, 0), (0, 1), (1, 0), (1, 1)}
     )
+    # the clipping vectors agree with reducing every point of the cube
+    cases = [(I2, 0), (L5, 2), (L5, 4), (L22, 2), (L22, 3)]
+    for lat in make_corpus(36, [(2, 40, 10), (3, 30, 10), (4, 16, 4)]):
+        d = build_tile(lat).m_diameter
+        cases += [(lat, d), (lat, d + 1)]
+    for lat, d in cases:
+        box = lattice_points_in_box(lat, (-d,) * lat.dim, (d,) * lat.dim)
+        vectors = [v for v in box if tiles._graded_positive(v)]
+        assert len(vectors) == len(set(vectors))
+        assert set(vectors) == cube_positive_lattice_vectors(lat, d)
+
+
+def test_incomplete_scan_raises(monkeypatch):
+    monkeypatch.setattr(tiles, "_scan", lambda lattice, prune: (False, -1, ()))
+    with pytest.raises(RuntimeError):
+        build_tile(L5)
+
+
+def test_difference_set_size_is_checked(monkeypatch):
+    monkeypatch.setattr(tiles, "lattice_points_in_box", lambda lattice, lo, hi: iter(()))
+    with pytest.raises(RuntimeError):
+        tile_from_difference(L5, 2)
 
 
 def test_tile_from_difference_requires_covering():
