@@ -27,7 +27,13 @@ from . import bounds
 from .covering import continuous_cover_falsify, covers_discrete
 from .errors import CayleyCoverError
 from .lattices import IntegerLattice, lattice_from_json_dict, lattice_to_json_dict
-from .search import brute_force_f, density_trend, fn_upper_bound, theta_lower_bound
+from .search import (
+    brute_force_f,
+    density_trend,
+    fn_upper_bound,
+    resolve_threads,
+    theta_lower_bound,
+)
 from .tiles import build_tile, kernel_backend, tile_to_json_dict
 
 
@@ -98,15 +104,29 @@ def emit_report(record, fmt: str, path=None) -> None:
 
 def _load_lattice(path: str) -> IntegerLattice:
     with open(path, "r", encoding="utf-8") as fh:
-        return lattice_from_json_dict(json.load(fh))
+        try:
+            return lattice_from_json_dict(json.load(fh))
+        except (ValueError, TypeError, CayleyCoverError) as exc:
+            raise UsageError(f"{path} is not a lattice file: {exc}") from None
+
+
+def _search_workers(args) -> int:
+    """Validate the flags shared by the search commands and return the
+    worker count."""
+    if args.n < 1:
+        raise UsageError(f"--n must be a positive integer, got {args.n}")
+    if args.index_cap is not None and args.index_cap < 1:
+        raise UsageError(f"--index-cap must be a positive integer, got {args.index_cap}")
+    try:
+        return resolve_threads(args.threads)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
 # tile
 
 def _render_ascii(tile) -> str:
-    if tile.dim != 2:
-        raise ValueError("ascii rendering is only available for 2-D tiles")
     pts = tile.point_set
     notch = tile.notch
     mx = max(p[0] for p in pts)
@@ -130,6 +150,8 @@ def _render_ascii(tile) -> str:
 
 def _cmd_tile(args) -> int:
     lattice = _load_lattice(args.lattice)
+    if args.ascii and lattice.dim != 2:
+        raise UsageError(f"--ascii renders 2-D tiles only, the lattice has dimension {lattice.dim}")
     tile = build_tile(lattice)
     if args.ascii:
         text = _render_ascii(tile) + "\n"
@@ -154,7 +176,8 @@ def _cmd_cover(args) -> int:
     lattice = _load_lattice(args.lattice)
     if lattice.dim != args.n:
         raise UsageError(f"--n is {args.n} but the lattice has dimension {lattice.dim}")
-    verdict = covers_discrete(args.n, args.d, lattice)
+    tile = build_tile(lattice)
+    verdict = covers_discrete(args.n, args.d, tile)
     record = {
         "n": args.n,
         "d": args.d,
@@ -166,7 +189,7 @@ def _cmd_cover(args) -> int:
     failed = not verdict.covered
     if args.continuous:
         D = args.d + args.n
-        witness = continuous_cover_falsify(args.n, D, lattice, args.resolution)
+        witness = continuous_cover_falsify(args.n, D, tile, args.resolution)
         record["continuous"] = {
             "D": D,
             "resolution": args.resolution,
@@ -192,8 +215,9 @@ def _parse_d_range(text: str) -> range:
 
 
 def _cmd_density_table(args) -> int:
+    threads = _search_workers(args)
     rows = density_trend(
-        args.n, list(args.d_range), index_cap=args.index_cap, threads=args.threads
+        args.n, list(args.d_range), index_cap=args.index_cap, threads=threads
     )
     header = ["d", "best_density_num", "best_density_den", "witness_lattice"]
     table = [
@@ -213,10 +237,11 @@ def _cmd_density_table(args) -> int:
 # search-f
 
 def _cmd_search_f(args) -> int:
+    threads = _search_workers(args)
+    if args.d < 0:
+        raise UsageError(f"--d must be nonnegative, got {args.d}")
     started = time.perf_counter()
-    report = brute_force_f(
-        args.n, args.d, index_cap=args.index_cap, threads=args.threads
-    )
+    report = brute_force_f(args.n, args.d, index_cap=args.index_cap, threads=threads)
     elapsed_ms = int(round(1000 * (time.perf_counter() - started)))
     record = {
         "n": report.n,
@@ -390,6 +415,14 @@ def bound_check_battery(
 
 
 def _cmd_verify_bounds(args) -> int:
+    if args.samples < 1:
+        raise UsageError(f"--samples must be a positive integer, got {args.samples}")
+    if args.nodes < 1:
+        raise UsageError(f"--nodes must be a positive integer, got {args.nodes}")
+    try:
+        bounds.NotchConfig(args.d_star, args.v if args.v is not None else 0)
+    except ValueError as exc:
+        raise UsageError(f"bad --d-star or --v: {exc}") from None
     vs = [args.v] if args.v is not None else None
     checks = bound_check_battery(
         args.d_star,
@@ -422,6 +455,8 @@ def _cmd_verify_bounds(args) -> int:
 # theta-bounds
 
 def _cmd_theta_bounds(args) -> int:
+    if args.d is not None and args.d < 0:
+        raise UsageError(f"--d must be nonnegative, got {args.d}")
     rows = []
     for n in range(2, args.n_max + 1):
         row = {"n": n, "theta_lower": theta_lower_bound(n)}

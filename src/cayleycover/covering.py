@@ -30,7 +30,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch, NotACovering, SingularAfterRounding, SingularBasis
 from .lattices import IntegerLattice, hnf_normalize, reduce_mod
-from .tiles import Point, build_tile, enumerate_orthant_prec
+from .tiles import CayleyTile, Point, build_tile, enumerate_orthant_prec
 
 
 @dataclass(frozen=True)
@@ -66,19 +66,26 @@ class CoveringVerdict:
     tile_diameter: int
 
 
-def covers_discrete(n: int, d: int, lattice: IntegerLattice) -> CoveringVerdict:
+def _tile_of(lattice: IntegerLattice | CayleyTile) -> CayleyTile:
+    return lattice if isinstance(lattice, CayleyTile) else build_tile(lattice)
+
+
+def covers_discrete(
+    n: int, d: int, lattice: IntegerLattice | CayleyTile
+) -> CoveringVerdict:
     """Decide whether the radius-d simplex plus the lattice covers Z^n.
 
     Covering holds iff the tile diameter is at most d.  On failure the
     witness is the scan-first tile point with norm above d: its coset is
-    unreached by any simplex translate.
+    unreached by any simplex translate.  ``lattice`` may be given as its
+    already built tile.
     """
     if lattice.dim != n:
         raise DimensionMismatch(f"lattice has dimension {lattice.dim}, not {n}")
-    tile = build_tile(lattice)
+    tile = _tile_of(lattice)
     diameter = tile.m_diameter
     if diameter <= d:
-        density = Fraction(simplex_size(n, d), lattice.det)
+        density = Fraction(simplex_size(n, d), tile.source_lattice.det)
         return CoveringVerdict(True, density, None, diameter)
     witness = next(p for p in tile.points if sum(p) > d)
     return CoveringVerdict(False, None, witness, diameter)
@@ -137,7 +144,7 @@ def round_scaled_lattice(real_basis: Sequence[Sequence[float]], k: float) -> Int
 def continuous_cover_falsify(
     n: int,
     D,
-    lattice: IntegerLattice,
+    lattice: IntegerLattice | CayleyTile,
     resolution: int = 4,
 ) -> Optional[tuple[Fraction, ...]]:
     """First point of the grid (1/resolution) * Z^n in the fundamental box
@@ -149,13 +156,15 @@ def continuous_cover_falsify(
     vector v with z + t - v >= 0 has z - v >= 0 (module docstring).  As
     sum(t) < n, L covers R^n iff D >= d(L) + n; there None is returned at
     once and is a proof.  A returned point is a proof of non-covering.
+    ``lattice`` may be given as its already built tile.
     """
     if lattice.dim != n:
         raise DimensionMismatch(f"lattice has dimension {lattice.dim}, not {n}")
     if resolution < 1:
         raise ValueError("resolution must be a positive integer")
     D = Fraction(D)
-    tile = build_tile(lattice)
+    tile = _tile_of(lattice)
+    lattice = tile.source_lattice
     if D >= tile.m_diameter + n:
         return None
     # keyed by the coset's point in the fundamental box; grid points are

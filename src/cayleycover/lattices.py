@@ -57,7 +57,7 @@ class IntegerLattice:
         return tuple(self.basis[i][i] for i in range(self.dim))
 
     def flat(self) -> tuple[int, ...]:
-        """Row-major flattening, as consumed by the scan kernels."""
+        """Row-major flattening, as consumed by the tile scan."""
         return tuple(v for row in self.basis for v in row)
 
 

@@ -7,9 +7,17 @@ HNF sublattice at each index.  The cap combines the binomial bound
 C(d+n, n) with the closed-form upper bound below, both of which the test
 suite verifies independently.
 
-Candidate evaluation within one index is embarrassingly parallel; chunks
-are reduced in enumeration order, so the reported witness is the
-lexicographically least successful basis regardless of worker count.
+A lattice's tile has diameter at most d exactly when the C(d+n, n) points
+of the radius-d simplex meet every coset.  ``_first_fit`` tests that for
+many lattices at once: it takes the enumeration in chunks, groups each
+chunk by HNF diagonal, reduces the simplex through every basis of a group
+with numpy (the sub-diagonal entries are an array axis) and checks that
+each basis yields all ``det`` mixed-radix residues.  Groups whose
+intermediates could leave int64 fall back to the exact per-lattice scan.
+The first fit in enumeration order is returned, so the witness is the
+lexicographically least successful basis.  With several workers the
+index is split into contiguous chunks reduced in order, so neither the
+witness nor the number of candidates scanned depends on the worker count.
 """
 
 from __future__ import annotations
@@ -19,14 +27,21 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import islice, repeat
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import CapTooSmall
 from .lattices import IntegerLattice, enumerate_sublattices
-from .tiles import fits_diameter
+from .tiles import enumerate_orthant_prec, fits_diameter
 
 _PARALLEL_THRESHOLD = 2048
 _THREADS_ENV = "CAYLEYCOVER_THREADS"
+# lattices per batch, and a cap on lattices x simplex points per batch
+_CHUNK = 1024
+_CHUNK_CELLS = 1 << 20
+_INT64_MAX = 2**63 - 1
 
 
 def f2_closed_form(d: int) -> int:
@@ -81,21 +96,84 @@ class SearchReport:
     exhaustive: bool
 
 
-def _resolve_threads(threads: Optional[int]) -> int:
+def resolve_threads(threads: Optional[int]) -> int:
+    """Worker count: ``threads``, else ``CAYLEYCOVER_THREADS``, else the
+    number of CPUs.  Raises ValueError when the variable is not an integer."""
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get(_THREADS_ENV, "")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"{_THREADS_ENV} must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
-def _chunk_worker(payload):
-    d, chunk = payload
-    for i, lattice in enumerate(chunk):
-        if fits_diameter(lattice, d):
-            return (i + 1, lattice)
-    return (len(chunk), None)
+def _int64_safe(diag: Sequence[int], d: int) -> bool:
+    """True iff reducing points with coordinates in [0, d] through any HNF
+    with this diagonal, and encoding the residues in mixed radix, keeps
+    every intermediate within int64.
+
+    Row i's quotient is at most the bound on coordinate i, and entry (i, j)
+    is below diag[j], so coordinate j grows by at most that product.
+    """
+    bound = [d] * len(diag)
+    for i in range(len(diag) - 1, 0, -1):
+        for j in range(i):
+            bound[j] += bound[i] * (diag[j] - 1)
+    return max(max(bound) * max(diag), math.prod(diag)) <= _INT64_MAX
+
+
+def _fit_mask(lattices: Sequence[IntegerLattice], d: int) -> list[bool]:
+    """Per lattice, whether its tile has diameter at most d, i.e. whether
+    the radius-d simplex meets every coset."""
+    n = lattices[0].dim
+    points = list(islice(enumerate_orthant_prec(n), math.comb(d + n, n)))
+    simplex = np.array(points, dtype=np.int64).reshape(len(points), n)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for pos, lattice in enumerate(lattices):
+        groups.setdefault(lattice.diagonal, []).append(pos)
+    fits = [False] * len(lattices)
+    for diag, members in groups.items():
+        if not _int64_safe(diag, d):
+            for pos in members:
+                fits[pos] = fits_diameter(lattices[pos], d)
+            continue
+        basis = np.array([lattices[pos].basis for pos in members], dtype=np.int64)
+        r = list(simplex.T)  # coordinate j of every point; gains the group axis
+        for i in range(len(diag) - 1, -1, -1):
+            q = r[i] // diag[i]
+            r[i] = r[i] - q * diag[i]
+            for j in range(i):
+                r[j] = r[j] - q * basis[:, i, j, None]
+        residue = np.zeros((len(members), len(points)), dtype=np.int64)
+        stride = 1
+        for j, a in enumerate(diag):
+            residue += r[j] * stride
+            stride *= a
+        seen = np.zeros((len(members), stride), dtype=bool)
+        seen[np.arange(len(members))[:, None], residue] = True
+        for pos, hit in zip(members, seen.all(axis=1)):
+            fits[pos] = bool(hit)
+    return fits
+
+
+def _first_fit(n: int, d: int, lattices: Iterable[IntegerLattice]):
+    """First lattice, in the given order, whose tile has diameter at most d.
+
+    Returns (inspected_count, lattice_or_None): the count runs up to and
+    including the fit, or over all lattices when none fits.
+    """
+    size = max(1, min(_CHUNK, _CHUNK_CELLS // math.comb(d + n, n)))
+    stream = iter(lattices)
+    inspected = 0
+    while chunk := list(islice(stream, size)):
+        for i, fits in enumerate(_fit_mask(chunk, d)):
+            if fits:
+                return inspected + i + 1, chunk[i]
+        inspected += len(chunk)
+    return inspected, None
 
 
 def _first_fit_at_index(n, m, d, threads, get_executor):
@@ -106,25 +184,17 @@ def _first_fit_at_index(n, m, d, threads, get_executor):
     the returned lattice never depends on scheduling.
     """
     if threads <= 1:
-        inspected = 0
-        for lattice in enumerate_sublattices(n, m):
-            inspected += 1
-            if fits_diameter(lattice, d):
-                return inspected, lattice
-        return inspected, None
+        return _first_fit(n, d, enumerate_sublattices(n, m))
 
     candidates = list(enumerate_sublattices(n, m))
     if len(candidates) < _PARALLEL_THRESHOLD:
-        for i, lattice in enumerate(candidates):
-            if fits_diameter(lattice, d):
-                return i + 1, lattice
-        return len(candidates), None
+        return _first_fit(n, d, candidates)
 
     step = -(-len(candidates) // threads)
     chunks = [candidates[i : i + step] for i in range(0, len(candidates), step)]
     inspected = 0
     winner = None
-    for count, lattice in get_executor().map(_chunk_worker, [(d, c) for c in chunks]):
+    for count, lattice in get_executor().map(_first_fit, repeat(n), repeat(d), chunks):
         inspected += count
         if lattice is not None:
             winner = lattice
@@ -144,9 +214,9 @@ def brute_force_f(
     witness lattice; the witness is the lexicographically least successful
     HNF basis at that index.  With the default cap the scan is exhaustive.
     A user-supplied cap below the true value yields the best value under
-    the cap, flagged non-exhaustive; ``candidates_scanned`` counts lattices
-    actually evaluated (it can vary with the worker count, the result never
-    does).
+    the cap, flagged non-exhaustive.  ``candidates_scanned`` counts the
+    lattices enumerated up to and including the witness; like the result,
+    it does not depend on the worker count.
     """
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
@@ -162,7 +232,7 @@ def brute_force_f(
         start = min(index_cap, default_cap)
         exhaustive = index_cap >= default_cap
 
-    workers = _resolve_threads(threads)
+    workers = resolve_threads(threads)
     executor = None
 
     def get_executor() -> ProcessPoolExecutor:

@@ -7,14 +7,14 @@ complete set of coset representatives, the tile.  Its largest norm equals
 the diameter of the Cayley digraph of the quotient group with the standard
 generators, which is what the covering and search modules consume.
 
-The scan itself runs in a compiled kernel when available (``_tilescan``,
-built from Cython) and otherwise in the pure-Python twin ``_tilescan_py``;
-set ``CAYLEYCOVER_PURE=1`` to force the fallback.
+The scan (``_scan``) runs in Python integers, so it has no determinant or
+dimension limit; it builds every tile and is the oracle for the search's
+batched fit test, which counts residues of the radius-d simplex in numpy
+(see ``search``).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, product
@@ -22,40 +22,89 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import _tilescan_py as _pure
 from .errors import DimensionMismatch, MultipleMinimalNotches, NotACovering
 from .lattices import IntegerLattice, lattice_points_in_box, reduce_mod
 
-try:
-    from . import _tilescan as _compiled
-except ImportError:  # extension not built
-    _compiled = None
-
-_FORCE_PURE = os.environ.get("CAYLEYCOVER_PURE", "") not in ("", "0")
-# int64-safe bounds for the compiled kernel (see _tilescan docstring)
-_COMPILED_DET_LIMIT = 1 << 22
-_COMPILED_DIM_LIMIT = 8
+_DENSE_SEEN_LIMIT = 1 << 22
 
 Point = tuple[int, ...]
 
 
 def kernel_backend() -> str:
-    """Name of the scan kernel the dispatcher uses for small inputs."""
-    if _compiled is not None and not _FORCE_PURE:
-        return "compiled"
-    return "pure"
+    """Name of the kernel behind the search's fit test."""
+    return "numpy"
 
 
 def _scan(lattice: IntegerLattice, prune: int):
+    """Graded-lex scan of the nonnegative orthant, one point per coset.
+
+    ``prune`` -1 scans until all ``det`` cosets are represented; otherwise
+    the scan aborts as soon as a shell above ``prune`` starts with cosets
+    still missing.
+
+    Returns ``(complete, diameter, points)``.  On completion ``points`` is
+    the full tile in scan order and ``diameter`` its largest norm; on a
+    pruned abort the result is ``(False, -1, ())``.
+    """
+    diag = lattice.diagonal
+    flat = lattice.flat()
     det = lattice.det
-    if (
-        _compiled is not None
-        and not _FORCE_PURE
-        and det <= _COMPILED_DET_LIMIT
-        and lattice.dim <= _COMPILED_DIM_LIMIT
-    ):
-        return _compiled.scan_tile(lattice.diagonal, lattice.flat(), det, prune)
-    return _pure.scan_tile(lattice.diagonal, lattice.flat(), det, prune)
+    n = len(diag)
+    strides = [1] * n
+    for i in range(1, n):
+        strides[i] = strides[i - 1] * diag[i - 1]
+    # residues are encoded in mixed radix over the fundamental box
+    dense = det <= _DENSE_SEEN_LIMIT
+    seen = bytearray(det) if dense else set()
+    points = []
+    found = 0
+    diameter = 0
+    s = 0
+    c = [0] * n
+    while True:
+        if prune >= 0 and s > prune:
+            return (False, -1, ())
+        if s > det:
+            raise RuntimeError("scan passed the determinant shell bound")
+        for j in range(n - 1):
+            c[j] = 0
+        c[n - 1] = s
+        while True:
+            r = c.copy()
+            for i in range(n - 1, -1, -1):
+                q = r[i] // diag[i]
+                if q:
+                    base = i * n
+                    for j in range(i + 1):
+                        r[j] -= q * flat[base + j]
+            idx = 0
+            for j in range(n):
+                idx += r[j] * strides[j]
+            if dense:
+                fresh = not seen[idx]
+                if fresh:
+                    seen[idx] = 1
+            else:
+                fresh = idx not in seen
+                if fresh:
+                    seen.add(idx)
+            if fresh:
+                points.append(tuple(c))
+                found += 1
+                diameter = s
+                if found == det:
+                    return (True, diameter, tuple(points))
+            # advance to the next composition of s in lexicographic order
+            p = n - 1
+            while p >= 0 and c[p] == 0:
+                p -= 1
+            if p <= 0:
+                break
+            m = c[p] - 1
+            c[p] = 0
+            c[p - 1] += 1
+            c[n - 1] = m
+        s += 1
 
 
 def m_norm(p: Sequence[int]) -> int:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cayleycover import cli, covering
 from cayleycover.cli import emit_report, main
 
 
@@ -84,13 +85,20 @@ def test_cover_exit_codes(lattice_file, capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-def test_cover_continuous(lattice_file, box_lattice_file, capsys):
+def test_cover_continuous(lattice_file, box_lattice_file, capsys, monkeypatch):
+    built = []
+    for module in (cli, covering):
+        monkeypatch.setattr(
+            module, "build_tile", lambda lattice, b=module.build_tile: built.append(1) or b(lattice)
+        )
     code = main(
         ["cover", "--n", "2", "--d", "2", "--lattice", lattice_file, "--continuous"]
     )
     assert code == 0
     record = json.loads(capsys.readouterr().out)
     assert record["continuous"] == {"D": 4, "resolution": 4, "witness": None}
+    # both answers read one tile
+    assert len(built) == 1
 
     code = main(
         ["cover", "--n", "2", "--d", "1", "--lattice", box_lattice_file, "--continuous", "--resolution", "2"]
@@ -146,10 +154,45 @@ def test_verify_bounds_mc_failure_sets_exit_code(tmp_path):
     assert any(not c["pass"] for c in checks)
 
 
-def test_usage_error_exits_2(capsys):
+def test_usage_error_exits_2(tmp_path, lattice_file, capsys, monkeypatch):
     with pytest.raises(SystemExit) as err:
         main(["cover", "--n", "2"])
     assert err.value.code == 2
+    capsys.readouterr()
+
+    def assert_usage_error(argv):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    cube = tmp_path / "cube.json"
+    cube.write_text(json.dumps({"n": 3, "basis": [[2, 0, 0], [0, 2, 0], [0, 0, 2]]}))
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"n": 2, "basis": [[5, 0], [')
+    singular = tmp_path / "singular.json"
+    singular.write_text(json.dumps({"n": 2, "basis": [[1, 2], [2, 4]]}))
+    # each is reported in one line on stderr before any compute
+    for argv in (
+        ["search-f", "--n", "0", "--d", "2"],
+        ["search-f", "--n", "2", "--d", "-1"],
+        ["search-f", "--n", "2", "--d", "2", "--index-cap", "0"],
+        ["density-table", "--n", "0", "--d-range", "1..2"],
+        ["tile", "--lattice", str(cube), "--ascii"],
+        ["tile", "--lattice", str(malformed)],
+        ["tile", "--lattice", str(singular)],
+        ["cover", "--n", "2", "--d", "1", "--lattice", str(malformed)],
+        ["verify-bounds", "--samples", "0"],
+        ["verify-bounds", "--method", "quad", "--nodes", "0"],
+        ["verify-bounds", "--d-star", "0"],
+        ["verify-bounds", "--d-star", "1", "--v", "1/2"],
+        ["theta-bounds", "--d", "-1"],
+    ):
+        assert_usage_error(argv)
+
+    monkeypatch.setenv("CAYLEYCOVER_THREADS", "abc")
+    assert_usage_error(["search-f", "--n", "2", "--d", "2"])
+    assert_usage_error(["density-table", "--n", "2", "--d-range", "1..2"])
 
 
 def test_missing_lattice_file_is_usage_error(tmp_path):

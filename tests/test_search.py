@@ -2,21 +2,30 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cayleycover.search as search_mod
 from cayleycover import (
     CapTooSmall,
+    IntegerLattice,
     brute_force_f,
     build_tile,
     density_trend,
     f2_closed_form,
     f3_upper_bound,
     f4_upper_bound,
+    fits_diameter,
     fn_upper_bound,
     hnf_normalize,
     theta_lower_bound,
 )
+from cayleycover.lattices import divisors
 from conftest import bfs_quotient_diameter
+
+# (n, d) -> candidates_scanned at threads=1, with f and the witness fixed by
+# the benchmark oracle
+BENCH_GRID_SCANNED = {(2, 16): 44, (3, 3): 2792, (3, 4): 15208, (4, 2): 12666, (5, 1): 770}
 
 
 def test_f2_closed_form_values():
@@ -104,10 +113,71 @@ def test_cap_too_small_raises():
 
 def test_parallel_matches_sequential(monkeypatch):
     monkeypatch.setattr(search_mod, "_PARALLEL_THRESHOLD", 4)
-    seq = brute_force_f(2, 4, threads=1)
-    par = brute_force_f(2, 4, threads=2)
-    assert (par.n, par.d, par.f_value, par.witness) == (seq.n, seq.d, seq.f_value, seq.witness)
-    assert par.exhaustive == seq.exhaustive
+    for n, d in [(2, 4), (3, 3)]:
+        seq = brute_force_f(n, d, threads=1)
+        par = brute_force_f(n, d, threads=2)
+        assert par == seq
+
+
+def test_candidates_scanned_pinned():
+    for (n, d), scanned in BENCH_GRID_SCANNED.items():
+        assert brute_force_f(n, d, threads=1).candidates_scanned == scanned
+
+
+@st.composite
+def hnf_group(draw):
+    """Canonical HNFs of one diagonal (one batch group) plus a few of other
+    diagonals, and a radius around the first one's diameter."""
+    n = draw(st.integers(1, 5))
+    diag = []
+    rest = draw(st.integers(1, 40 if n < 4 else 16))
+    for _ in range(n - 1):
+        a = draw(st.sampled_from(divisors(rest)))
+        diag.append(a)
+        rest //= a
+    diag.append(rest)
+
+    def lattice(diag):
+        rows = [
+            tuple(draw(st.integers(0, diag[j] - 1)) for j in range(i))
+            + (diag[i],) + (0,) * (n - i - 1)
+            for i in range(n)
+        ]
+        return IntegerLattice(n, tuple(rows))
+
+    lattices = [lattice(diag) for _ in range(draw(st.integers(1, 6)))]
+    lattices += [lattice(draw(st.permutations(diag))) for _ in range(draw(st.integers(0, 3)))]
+    d = max(0, bfs_quotient_diameter(lattices[0]) + draw(st.integers(-1, 1)))
+    return lattices, d
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(hnf_group())
+def test_batched_fit_matches_scan_and_bfs(case):
+    lattices, d = case
+    expected = [fits_diameter(lattice, d) for lattice in lattices]
+    assert search_mod._fit_mask(lattices, d) == expected
+    assert expected == [bfs_quotient_diameter(lattice) <= d for lattice in lattices]
+
+
+def test_int64_fallback_gives_same_report(monkeypatch):
+    assert search_mod._int64_safe((16, 2, 1), 4)
+    assert not search_mod._int64_safe((1 << 21, 1 << 21, 1 << 21, 1), 4)
+    cases = [(2, 5), (3, 2), (4, 1)]
+    reports = [brute_force_f(n, d, threads=1) for n, d in cases]
+    calls = []
+
+    def counted(lattice, d):
+        calls.append(lattice)
+        return fits_diameter(lattice, d)
+
+    monkeypatch.setattr(search_mod, "fits_diameter", counted)
+    # -1: every group falls back; 60: groups with larger bounds fall back
+    for limit in (-1, 60):
+        monkeypatch.setattr(search_mod, "_INT64_MAX", limit)
+        calls.clear()
+        assert [brute_force_f(n, d, threads=1) for n, d in cases] == reports
+        assert calls
 
 
 def test_density_trend_values():

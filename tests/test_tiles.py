@@ -18,14 +18,9 @@ from cayleycover import (
     silhouette,
     tile_from_difference,
 )
-from cayleycover import _tilescan_py, tiles
+from cayleycover import tiles
 from cayleycover.lattices import lattice_points_in_box
 from cayleycover.tiles import prec_key
-
-try:
-    from cayleycover import _tilescan
-except ImportError:
-    _tilescan = None
 
 from conftest import (
     bfs_quotient_diameter,
@@ -225,12 +220,3 @@ def test_tile_properties_over_corpus():
         assert tile.m_diameter == bfs_quotient_diameter(lat)
         assert tile_from_difference(lat, tile.m_diameter) == pts
 
-
-@pytest.mark.skipif(_tilescan is None, reason="compiled kernel not built")
-def test_kernels_agree():
-    for lat in make_corpus(35, [(2, 60, 20), (3, 40, 15), (4, 25, 10)]):
-        args = (lat.diagonal, lat.flat(), lat.det, -1)
-        assert _tilescan.scan_tile(*args) == _tilescan_py.scan_tile(*args)
-        probe = max(0, build_tile(lat).m_diameter - 1)
-        args = (lat.diagonal, lat.flat(), lat.det, probe)
-        assert _tilescan.scan_tile(*args) == _tilescan_py.scan_tile(*args)
