@@ -27,13 +27,7 @@ from . import bounds
 from .covering import continuous_cover_falsify, covers_discrete
 from .errors import CayleyCoverError
 from .lattices import IntegerLattice, lattice_from_json_dict, lattice_to_json_dict
-from .search import (
-    brute_force_f,
-    density_trend,
-    fn_upper_bound,
-    resolve_threads,
-    theta_lower_bound,
-)
+from .search import brute_force_f, density_trend, fn_upper_bound, theta_lower_bound
 from .tiles import build_tile, kernel_backend, tile_to_json_dict
 
 
@@ -110,17 +104,14 @@ def _load_lattice(path: str) -> IntegerLattice:
             raise UsageError(f"{path} is not a lattice file: {exc}") from None
 
 
-def _search_workers(args) -> int:
-    """Validate the flags shared by the search commands and return the
-    worker count."""
+def _check_search_flags(args) -> None:
+    """Validate the flags shared by the search commands."""
     if args.n < 1:
         raise UsageError(f"--n must be a positive integer, got {args.n}")
     if args.index_cap is not None and args.index_cap < 1:
         raise UsageError(f"--index-cap must be a positive integer, got {args.index_cap}")
-    try:
-        return resolve_threads(args.threads)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if args.threads is not None and args.threads < 1:
+        raise UsageError(f"--threads must be a positive integer, got {args.threads}")
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +205,16 @@ def _parse_d_range(text: str) -> range:
     return range(a, b + 1)
 
 
+def _parse_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
+
+
 def _cmd_density_table(args) -> int:
-    threads = _search_workers(args)
-    rows = density_trend(
-        args.n, list(args.d_range), index_cap=args.index_cap, threads=threads
-    )
+    _check_search_flags(args)
+    rows = density_trend(args.n, list(args.d_range), index_cap=args.index_cap)
     header = ["d", "best_density_num", "best_density_den", "witness_lattice"]
     table = [
         [
@@ -237,11 +233,11 @@ def _cmd_density_table(args) -> int:
 # search-f
 
 def _cmd_search_f(args) -> int:
-    threads = _search_workers(args)
+    _check_search_flags(args)
     if args.d < 0:
         raise UsageError(f"--d must be nonnegative, got {args.d}")
     started = time.perf_counter()
-    report = brute_force_f(args.n, args.d, index_cap=args.index_cap, threads=threads)
+    report = brute_force_f(args.n, args.d, index_cap=args.index_cap)
     elapsed_ms = int(round(1000 * (time.perf_counter() - started)))
     record = {
         "n": report.n,
@@ -423,6 +419,12 @@ def _cmd_verify_bounds(args) -> int:
         bounds.NotchConfig(args.d_star, args.v if args.v is not None else 0)
     except ValueError as exc:
         raise UsageError(f"bad --d-star or --v: {exc}") from None
+    try:
+        float(args.d_star**4)
+    except OverflowError:
+        raise UsageError(
+            "--d-star is too large: the closed forms (degree 4 in d*) do not fit in a float"
+        ) from None
     vs = [args.v] if args.v is not None else None
     checks = bound_check_battery(
         args.d_star,
@@ -455,6 +457,8 @@ def _cmd_verify_bounds(args) -> int:
 # theta-bounds
 
 def _cmd_theta_bounds(args) -> int:
+    if args.n_max < 2:
+        raise UsageError(f"--n-max must be at least 2, got {args.n_max}")
     if args.d is not None and args.d < 0:
         raise UsageError(f"--d must be nonnegative, got {args.d}")
     rows = []
@@ -515,7 +519,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d-range", type=_parse_d_range, required=True, metavar="A..B")
     p.add_argument("--index-cap", type=int)
-    p.add_argument("--threads", type=int)
+    p.add_argument(
+        "--threads", type=int, help="accepted for compatibility; the search runs in one process"
+    )
     p.add_argument("--out")
     p.set_defaults(func=_cmd_density_table)
 
@@ -523,13 +529,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--index-cap", type=int)
-    p.add_argument("--threads", type=int)
+    p.add_argument(
+        "--threads", type=int, help="accepted for compatibility; the search runs in one process"
+    )
     p.add_argument("--out")
     p.set_defaults(func=_cmd_search_f)
 
     p = sub.add_parser("verify-bounds", help="check the volume bounds numerically")
-    p.add_argument("--d-star", type=Fraction, default=Fraction(1))
-    p.add_argument("--v", type=Fraction)
+    p.add_argument("--d-star", type=_parse_fraction, default=Fraction(1))
+    p.add_argument("--v", type=_parse_fraction)
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=bounds.DEFAULT_SEED)
     p.add_argument("--method", choices=["mc", "quad"], default="mc")

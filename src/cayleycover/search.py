@@ -15,19 +15,16 @@ with numpy (the sub-diagonal entries are an array axis) and checks that
 each basis yields all ``det`` mixed-radix residues.  Groups whose
 intermediates could leave int64 fall back to the exact per-lattice scan.
 The first fit in enumeration order is returned, so the witness is the
-lexicographically least successful basis.  With several workers the
-index is split into contiguous chunks reduced in order, so neither the
-witness nor the number of candidates scanned depends on the worker count.
+lexicographically least successful basis.  The search runs in one process
+and streams each index from the enumerator, one chunk at a time.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -36,8 +33,6 @@ from .errors import CapTooSmall
 from .lattices import IntegerLattice, enumerate_sublattices
 from .tiles import enumerate_orthant_prec, fits_diameter
 
-_PARALLEL_THRESHOLD = 2048
-_THREADS_ENV = "CAYLEYCOVER_THREADS"
 # lattices per batch, and a cap on lattices x simplex points per batch
 _CHUNK = 1024
 _CHUNK_CELLS = 1 << 20
@@ -94,20 +89,6 @@ class SearchReport:
     paper_upper: Fraction
     candidates_scanned: int
     exhaustive: bool
-
-
-def resolve_threads(threads: Optional[int]) -> int:
-    """Worker count: ``threads``, else ``CAYLEYCOVER_THREADS``, else the
-    number of CPUs.  Raises ValueError when the variable is not an integer."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get(_THREADS_ENV, "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"{_THREADS_ENV} must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
 
 
 def _int64_safe(diag: Sequence[int], d: int) -> bool:
@@ -176,38 +157,7 @@ def _first_fit(n: int, d: int, lattices: Iterable[IntegerLattice]):
     return inspected, None
 
 
-def _first_fit_at_index(n, m, d, threads, get_executor):
-    """Lexicographically first index-m lattice with tile diameter <= d.
-
-    Returns (inspected_count, lattice_or_None).  The parallel path splits
-    the enumeration into contiguous chunks and reduces them in order, so
-    the returned lattice never depends on scheduling.
-    """
-    if threads <= 1:
-        return _first_fit(n, d, enumerate_sublattices(n, m))
-
-    candidates = list(enumerate_sublattices(n, m))
-    if len(candidates) < _PARALLEL_THRESHOLD:
-        return _first_fit(n, d, candidates)
-
-    step = -(-len(candidates) // threads)
-    chunks = [candidates[i : i + step] for i in range(0, len(candidates), step)]
-    inspected = 0
-    winner = None
-    for count, lattice in get_executor().map(_first_fit, repeat(n), repeat(d), chunks):
-        inspected += count
-        if lattice is not None:
-            winner = lattice
-            break
-    return inspected, winner
-
-
-def brute_force_f(
-    n: int,
-    d: int,
-    index_cap: Optional[int] = None,
-    threads: Optional[int] = None,
-) -> SearchReport:
+def brute_force_f(n: int, d: int, index_cap: Optional[int] = None) -> SearchReport:
     """Exhaustive value of the degree-diameter function for n generators.
 
     Scans indices downward from the cap and stops at the first index with a
@@ -215,8 +165,7 @@ def brute_force_f(
     HNF basis at that index.  With the default cap the scan is exhaustive.
     A user-supplied cap below the true value yields the best value under
     the cap, flagged non-exhaustive.  ``candidates_scanned`` counts the
-    lattices enumerated up to and including the witness; like the result,
-    it does not depend on the worker count.
+    lattices enumerated up to and including the witness.
     """
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
@@ -232,42 +181,26 @@ def brute_force_f(
         start = min(index_cap, default_cap)
         exhaustive = index_cap >= default_cap
 
-    workers = resolve_threads(threads)
-    executor = None
-
-    def get_executor() -> ProcessPoolExecutor:
-        nonlocal executor
-        if executor is None:
-            executor = ProcessPoolExecutor(max_workers=workers)
-        return executor
-
     scanned = 0
-    try:
-        for m in range(start, 0, -1):
-            inspected, witness = _first_fit_at_index(n, m, d, workers, get_executor)
-            scanned += inspected
-            if witness is not None:
-                return SearchReport(
-                    n=n,
-                    d=d,
-                    f_value=m,
-                    witness=witness,
-                    binomial_cap=binomial_cap,
-                    paper_upper=paper_upper,
-                    candidates_scanned=scanned,
-                    exhaustive=exhaustive,
-                )
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for m in range(start, 0, -1):
+        inspected, witness = _first_fit(n, d, enumerate_sublattices(n, m))
+        scanned += inspected
+        if witness is not None:
+            return SearchReport(
+                n=n,
+                d=d,
+                f_value=m,
+                witness=witness,
+                binomial_cap=binomial_cap,
+                paper_upper=paper_upper,
+                candidates_scanned=scanned,
+                exhaustive=exhaustive,
+            )
     raise AssertionError("unreachable: the identity lattice always fits")
 
 
 def density_trend(
-    n: int,
-    d_values: Sequence[int],
-    index_cap: Optional[int] = None,
-    threads: Optional[int] = None,
+    n: int, d_values: Sequence[int], index_cap: Optional[int] = None
 ) -> list[tuple[int, Fraction, IntegerLattice]]:
     """Minimum covering density per radius: C(d+n, n) / f(n, d).
 
@@ -277,7 +210,7 @@ def density_trend(
     """
     rows = []
     for d in d_values:
-        report = brute_force_f(n, d, index_cap=index_cap, threads=threads)
+        report = brute_force_f(n, d, index_cap=index_cap)
         density = Fraction(math.comb(d + n, n), report.f_value)
         rows.append((d, density, report.witness))
     return rows

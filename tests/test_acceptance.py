@@ -52,12 +52,12 @@ def report(number, ok, detail):
 
 @pytest.fixture(scope="module")
 def f2_reports():
-    return {d: brute_force_f(2, d, threads=1) for d in range(9)}
+    return {d: brute_force_f(2, d) for d in range(9)}
 
 
 @pytest.fixture(scope="module")
 def f3_reports():
-    return {d: brute_force_f(3, d, threads=1) for d in range(4)}
+    return {d: brute_force_f(3, d) for d in range(4)}
 
 
 @pytest.fixture(scope="module")
@@ -212,7 +212,7 @@ def test_criterion_7_density_inequalities_hold(f3_reports, corpus_tiles):
 
 
 def test_criterion_8_density_trend_exact():
-    rows = density_trend(2, [2, 6, 10, 20], threads=1)
+    rows = density_trend(2, [2, 6, 10, 20])
     densities = [density for _, density, _ in rows]
     expected = [
         Fraction(6, 5),

@@ -149,7 +149,7 @@ def test_tile_volume_bound_dim4():
 
 def test_search_never_violates_dim4_bound():
     for d in (0, 1):
-        report = brute_force_f(4, d, threads=1)
+        report = brute_force_f(4, d)
         assert report.exhaustive
         assert report.f_value <= math.floor(tile_volume_bound_dim4(d))
 

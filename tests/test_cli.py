@@ -49,12 +49,12 @@ def test_search_f_report(lattice_file, tmp_path, capsys):
 
 
 def test_search_f_deterministic_modulo_timing(tmp_path):
+    # --threads is accepted and has no effect on the report
     outs = []
-    for name in ("a.json", "b.json"):
-        out = tmp_path / name
-        assert main(
-            ["search-f", "--n", "2", "--d", "3", "--threads", "1", "--out", str(out)]
-        ) == 0
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.json"
+        argv = ["search-f", "--n", "3", "--d", "3", "--threads", threads, "--out", str(out)]
+        assert main(argv) == 0
         record = json.loads(out.read_text())
         record.pop("elapsed_ms")
         outs.append(record)
@@ -154,7 +154,7 @@ def test_verify_bounds_mc_failure_sets_exit_code(tmp_path):
     assert any(not c["pass"] for c in checks)
 
 
-def test_usage_error_exits_2(tmp_path, lattice_file, capsys, monkeypatch):
+def test_usage_error_exits_2(tmp_path, lattice_file, capsys):
     with pytest.raises(SystemExit) as err:
         main(["cover", "--n", "2"])
     assert err.value.code == 2
@@ -187,12 +187,29 @@ def test_usage_error_exits_2(tmp_path, lattice_file, capsys, monkeypatch):
         ["verify-bounds", "--d-star", "0"],
         ["verify-bounds", "--d-star", "1", "--v", "1/2"],
         ["theta-bounds", "--d", "-1"],
+        ["search-f", "--n", "2", "--d", "2", "--threads", "0"],
+        ["search-f", "--n", "2", "--d", "2", "--threads", "-4"],
+        ["density-table", "--n", "2", "--d-range", "1..2", "--threads", "0"],
+        ["verify-bounds", "--d-star", "1e100"],
+        ["theta-bounds", "--n-max", "0"],
+        ["theta-bounds", "--n-max", "-3", "--csv"],
     ):
         assert_usage_error(argv)
 
-    monkeypatch.setenv("CAYLEYCOVER_THREADS", "abc")
-    assert_usage_error(["search-f", "--n", "2", "--d", "2"])
-    assert_usage_error(["density-table", "--n", "2", "--d-range", "1..2"])
+    # values the argument parser rejects: usage line, then one error line
+    for argv in (
+        ["verify-bounds", "--d-star", "1/0"],
+        ["verify-bounds", "--v", "1/0"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            "cayleycover verify-bounds: error: argument "
+            f"{argv[1]}: '1/0' has a zero denominator"
+        ]
 
 
 def test_missing_lattice_file_is_usage_error(tmp_path):

@@ -95,7 +95,7 @@ def test_covered_is_monotone_in_d():
 def test_density_examples_and_floor():
     assert discrete_density(2, 2, L5) == Fraction(6, 5)
     assert discrete_density(3, 4, hnf_normalize([(1, 0, 0), (0, 1, 0), (0, 0, 1)])) == simplex_size(3, 4)
-    best10 = brute_force_f(2, 10, threads=1)
+    best10 = brute_force_f(2, 10)
     assert best10.f_value == 48
     assert discrete_density(2, 10, best10.witness) == Fraction(66, 48)
     with pytest.raises(NotACovering):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cayleycover import (
     DimensionMismatch,
@@ -198,3 +200,58 @@ def test_lattice_points_in_box_matches_reduction():
         found = list(lattice_points_in_box(lat, lo, hi))
         assert len(found) == len(set(found))
         assert set(found) == expected
+
+
+@st.composite
+def generating_sets(draw):
+    """n = 1..4 and n to n + 2 integer rows of length n with entries in
+    [-12, 12], plus a row operation (negate row i when i == j, else add c
+    times row j to row i) and a row permutation."""
+    n = draw(st.integers(1, 4))
+    size = n + draw(st.integers(0, 2))
+    row = st.lists(st.integers(-12, 12), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=size, max_size=size))
+    op = (draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1)), draw(st.integers(-5, 5)))
+    return rows, op, draw(st.permutations(range(size)))
+
+
+def _in_span(square, row):
+    """Whether ``row`` is an integer combination of the rows of the
+    nonsingular ``square``, by Cramer's rule."""
+    det = det_laplace(square)
+    for k in range(len(square)):
+        replaced = [row if i == k else r for i, r in enumerate(square)]
+        if det_laplace(replaced) % det:
+            return False
+    return True
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(generating_sets())
+def test_hnf_properties_on_random_generating_sets(case):
+    rows, (i, j, c), perm = case
+    n = len(rows[0])
+    squares = [list(sub) for sub in itertools.combinations(rows, n) if det_laplace(list(sub))]
+    assume(squares)
+    lat = hnf_normalize(rows)
+
+    assert hnf_normalize(lat.basis) == lat
+    moved = [list(r) for r in rows]
+    if i == j:
+        moved[i] = [-v for v in moved[i]]
+    else:
+        moved[i] = [a + c * b for a, b in zip(moved[i], moved[j])]
+    assert hnf_normalize(moved) == lat
+    assert hnf_normalize([rows[k] for k in perm]) == lat
+
+    # a nonsingular n-subset generates a sublattice of L; it is all of L
+    # exactly when every row is in its span, and then |det| = det(L)
+    for square in squares:
+        assert abs(det_laplace(square)) % lat.det == 0
+        if all(_in_span(square, row) for row in rows):
+            assert abs(det_laplace(square)) == lat.det
+        else:
+            assert abs(det_laplace(square)) > lat.det
+
+    if lat.det <= 60:
+        assert lat in enumerate_sublattices(n, lat.det)

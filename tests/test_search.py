@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,7 +26,7 @@ from cayleycover import (
 from cayleycover.lattices import divisors
 from conftest import bfs_quotient_diameter
 
-# (n, d) -> candidates_scanned at threads=1, with f and the witness fixed by
+# (n, d) -> candidates_scanned, with f and the witness fixed by
 # the benchmark oracle
 BENCH_GRID_SCANNED = {(2, 16): 44, (3, 3): 2792, (3, 4): 15208, (4, 2): 12666, (5, 1): 770}
 
@@ -65,19 +68,19 @@ def test_theta_lower_bound_values():
 
 
 def test_brute_force_small_examples():
-    report = brute_force_f(2, 2, threads=1)
+    report = brute_force_f(2, 2)
     assert report.f_value == 5
     assert report.witness.det == 5
     for n in (1, 2, 3, 4):
-        zero = brute_force_f(n, 0, threads=1)
+        zero = brute_force_f(n, 0)
         assert zero.f_value == 1
         assert zero.witness.det == 1
-    assert brute_force_f(3, 1, threads=1).f_value == 4
+    assert brute_force_f(3, 1).f_value == 4
 
 
 def test_witness_revalidated_independently():
     for n, d in [(2, 2), (2, 5), (3, 1), (3, 2)]:
-        report = brute_force_f(n, d, threads=1)
+        report = brute_force_f(n, d)
         assert report.witness.det == report.f_value
         assert bfs_quotient_diameter(report.witness) <= d
         assert hnf_normalize(report.witness.basis) == report.witness
@@ -87,7 +90,7 @@ def test_report_invariants():
     previous = {}
     for n, ds in [(2, range(7)), (3, range(3))]:
         for d in ds:
-            report = brute_force_f(n, d, threads=1)
+            report = brute_force_f(n, d)
             assert report.f_value <= report.binomial_cap
             assert report.f_value <= math.floor(report.paper_upper)
             assert report.exhaustive
@@ -97,31 +100,37 @@ def test_report_invariants():
 
 
 def test_user_cap_marks_non_exhaustive():
-    capped = brute_force_f(2, 2, index_cap=3, threads=1)
+    capped = brute_force_f(2, 2, index_cap=3)
     assert capped.f_value == 3
     assert not capped.exhaustive
     # a generous user cap still allows an exhaustive scan
-    roomy = brute_force_f(2, 2, index_cap=50, threads=1)
+    roomy = brute_force_f(2, 2, index_cap=50)
     assert roomy.f_value == 5
     assert roomy.exhaustive
 
 
 def test_cap_too_small_raises():
     with pytest.raises(CapTooSmall):
-        brute_force_f(2, 2, index_cap=0, threads=1)
+        brute_force_f(2, 2, index_cap=0)
 
 
-def test_parallel_matches_sequential(monkeypatch):
-    monkeypatch.setattr(search_mod, "_PARALLEL_THRESHOLD", 4)
-    for n, d in [(2, 4), (3, 3)]:
-        seq = brute_force_f(n, d, threads=1)
-        par = brute_force_f(n, d, threads=2)
-        assert par == seq
+def test_import_loads_no_process_machinery():
+    # the search runs in one process, so the package never loads a pool
+    src = os.path.dirname(os.path.dirname(search_mod.__file__))
+    probe = (
+        "import sys, cayleycover; "
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_candidates_scanned_pinned():
     for (n, d), scanned in BENCH_GRID_SCANNED.items():
-        assert brute_force_f(n, d, threads=1).candidates_scanned == scanned
+        assert brute_force_f(n, d).candidates_scanned == scanned
 
 
 @st.composite
@@ -164,7 +173,7 @@ def test_int64_fallback_gives_same_report(monkeypatch):
     assert search_mod._int64_safe((16, 2, 1), 4)
     assert not search_mod._int64_safe((1 << 21, 1 << 21, 1 << 21, 1), 4)
     cases = [(2, 5), (3, 2), (4, 1)]
-    reports = [brute_force_f(n, d, threads=1) for n, d in cases]
+    reports = [brute_force_f(n, d) for n, d in cases]
     calls = []
 
     def counted(lattice, d):
@@ -176,12 +185,12 @@ def test_int64_fallback_gives_same_report(monkeypatch):
     for limit in (-1, 60):
         monkeypatch.setattr(search_mod, "_INT64_MAX", limit)
         calls.clear()
-        assert [brute_force_f(n, d, threads=1) for n, d in cases] == reports
+        assert [brute_force_f(n, d) for n, d in cases] == reports
         assert calls
 
 
 def test_density_trend_values():
-    rows = density_trend(2, [2, 6, 10, 20], threads=1)
+    rows = density_trend(2, [2, 6, 10, 20])
     densities = [row[1] for row in rows]
     assert densities == [
         Fraction(6, 5),
