@@ -15,6 +15,7 @@ Division by a zero Fraction raises the built-in ``ZeroDivisionError``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -78,10 +79,11 @@ def hnf_normalize(rows: Iterable[Sequence[int]]) -> IntegerLattice:
     """Canonical Hermite normal form of the lattice generated by ``rows``.
 
     Accepts any generating set (at least n rows of length n); raises
-    :class:`SingularBasis` when the rows do not span full rank.  Idempotent:
+    :class:`SingularBasis` when the rows do not span full rank and
+    ``TypeError`` when an entry is not an integer.  Idempotent:
     feeding back the returned basis reproduces it bit for bit.
     """
-    mat = [[int(v) for v in r] for r in rows]
+    mat = [[operator.index(v) for v in r] for r in rows]
     if not mat:
         raise SingularBasis("empty generating set")
     n = len(mat[0])
@@ -236,11 +238,11 @@ def lattice_to_json_dict(lattice: IntegerLattice) -> dict:
 def lattice_from_json_dict(obj: dict) -> IntegerLattice:
     """Parse the lattice text format; normalizes any generating set to HNF."""
     try:
-        n = int(obj["n"])
+        n = obj["n"]
         rows = obj["basis"]
     except (KeyError, TypeError) as exc:
         raise ValueError("lattice JSON must have keys 'n' and 'basis'") from exc
     lattice = hnf_normalize(rows)
-    if lattice.dim != n:
+    if lattice.dim != operator.index(n):
         raise DimensionMismatch(f"basis rows have length {lattice.dim}, not {n}")
     return lattice

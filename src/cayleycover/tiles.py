@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, product
+from itertools import count
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -221,65 +221,48 @@ def silhouette(tile: CayleyTile) -> Silhouette:
     return Silhouette(projections=tuple(projections))
 
 
-def _maximal_antichain(points: frozenset[Point]) -> list[Point]:
-    """Componentwise-maximal elements, used as a dominance frontier."""
-    ordered = sorted(points, key=lambda p: (-sum(p), p))
-    frontier: list[Point] = []
-    for p in ordered:
-        if not any(all(fj >= pj for fj, pj in zip(f, p)) for f in frontier):
-            frontier.append(p)
-    return frontier
-
-
 def find_notch(tile: CayleyTile) -> Optional[Point]:
     """Unique minimal point outside the tile whose projections are all
     silhouette-dominated, or None when no such point exists.
 
-    Candidates are scanned over the box ``[0, axis max + 1]`` per axis; any
-    point beyond that has a projection outside the silhouette.  Raises
-    :class:`MultipleMinimalNotches` when minimality fails, which would
-    contradict the single-notch structure of lattice tiles.
+    Write T for the tile and C for the candidates: p is in C iff p is not
+    in T and, for every axis i, p with coordinate i set to 0 lies in T (T
+    is downward closed, so the axis-i silhouette is the set of points of T
+    with coordinate i zero).  Then
+
+    1. every p in C has all coordinates >= 1: if p_i = 0, zeroing
+       coordinate i leaves p, which is not in T;
+    2. if p is in C and p - e_k is not in T, then p - e_k is in C (each of
+       its zeroed points lies below the matching one of p), so a minimal
+       element of C is an outer corner: p not in T and p - e_k in T for
+       every k (which needs every coordinate >= 1, as T is in the orthant);
+    3. an outer corner is in C, since zeroing coordinate k gives a point
+       below p - e_k; and it is minimal in C, since any q < p lies below
+       some p - e_k and so in T.
+
+    The minimal candidates are therefore exactly the outer corners, each of
+    the form ``t + e_i`` with t in T, found with O(|T| n^2) set lookups.
+    Raises :class:`MultipleMinimalNotches` when there are several, which
+    would contradict the single-notch structure of lattice tiles.
     """
     n = tile.dim
     points = tile.point_set
-    maxes = [max(p[i] for p in points) for i in range(n)]
-    # frontiers of the zeroed projections; axis i ignores coordinate i
-    frontiers = [_maximal_antichain(proj) for proj in silhouette(tile).projections]
-
-    def silhouette_dominated(p: Point, axis: int) -> bool:
-        return any(
-            all(f[j] >= p[j] for j in range(n) if j != axis)
-            for f in frontiers[axis]
-        )
-
-    candidates = []
-    for p in product(*(range(m + 2) for m in maxes)):
-        if p in points:
-            continue
-        if all(silhouette_dominated(p, axis) for axis in range(n)):
-            candidates.append(p)
-    if not candidates:
+    minimal = set()
+    for t in points:
+        for i in range(n):
+            p = t[:i] + (t[i] + 1,) + t[i + 1 :]
+            if p not in points and all(
+                p[:k] + (p[k] - 1,) + p[k + 1 :] in points for k in range(n)
+            ):
+                minimal.add(p)
+    if not minimal:
         return None
-
-    candidates.sort(key=prec_key)
-    minimal = [
-        c
-        for c in candidates
-        if not any(
-            d != c and all(dj <= cj for dj, cj in zip(d, c)) for d in candidates
-        )
-    ]
     if len(minimal) != 1:
+        ordered = sorted(minimal, key=prec_key)
         raise MultipleMinimalNotches(
-            f"{len(minimal)} minimal notch candidates: {minimal[:4]}"
+            f"{len(ordered)} minimal notch candidates: {ordered[:4]}"
         )
-    notch = minimal[0]
-    bad = [c for c in candidates if not all(nj <= cj for nj, cj in zip(notch, c))]
-    if bad:
-        raise MultipleMinimalNotches(
-            f"candidate {bad[0]} is not above the minimal candidate {notch}"
-        )
-    return notch
+    return minimal.pop()
 
 
 def is_tiling(points, lattice: IntegerLattice) -> bool:

@@ -16,6 +16,8 @@ from collections import deque
 from fractions import Fraction
 from itertools import product
 
+from hypothesis import strategies as st
+
 from cayleycover import DimensionMismatch, IntegerLattice, reduce_mod
 from cayleycover.lattices import divisors
 
@@ -80,6 +82,25 @@ def random_hnf(rng, n, max_index):
     for i in range(n):
         row = [rng.randrange(diag[j]) for j in range(i)] + [diag[i]] + [0] * (n - i - 1)
         rows.append(tuple(row))
+    return IntegerLattice(n, tuple(rows))
+
+
+@st.composite
+def hnfs(draw, n, max_index):
+    """Hypothesis strategy: canonical lattices of dimension n and index at
+    most max_index, drawn like :func:`random_hnf`."""
+    rest = draw(st.integers(1, max_index))
+    diag = []
+    for _ in range(n - 1):
+        d = draw(st.sampled_from(divisors(rest)))
+        diag.append(d)
+        rest //= d
+    diag.append(rest)
+    rows = [
+        tuple(draw(st.integers(0, diag[j] - 1)) for j in range(i))
+        + (diag[i],) + (0,) * (n - i - 1)
+        for i in range(n)
+    ]
     return IntegerLattice(n, tuple(rows))
 
 

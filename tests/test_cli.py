@@ -172,6 +172,12 @@ def test_usage_error_exits_2(tmp_path, lattice_file, capsys):
     malformed.write_text('{"n": 2, "basis": [[5, 0], [')
     singular = tmp_path / "singular.json"
     singular.write_text(json.dumps({"n": 2, "basis": [[1, 2], [2, 4]]}))
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text(json.dumps({"n": 2, "basis": [[2.7, 0], [0, 1]]}))
+    strings = tmp_path / "strings.json"
+    strings.write_text(json.dumps({"n": 2, "basis": [["3", "0"], ["0", "1"]]}))
+    fractional_n = tmp_path / "fractional_n.json"
+    fractional_n.write_text(json.dumps({"n": 2.5, "basis": [[2, 0], [0, 1]]}))
     # each is reported in one line on stderr before any compute
     for argv in (
         ["search-f", "--n", "0", "--d", "2"],
@@ -181,6 +187,9 @@ def test_usage_error_exits_2(tmp_path, lattice_file, capsys):
         ["tile", "--lattice", str(cube), "--ascii"],
         ["tile", "--lattice", str(malformed)],
         ["tile", "--lattice", str(singular)],
+        ["tile", "--lattice", str(fractional)],
+        ["tile", "--lattice", str(strings)],
+        ["tile", "--lattice", str(fractional_n)],
         ["cover", "--n", "2", "--d", "1", "--lattice", str(malformed)],
         ["verify-bounds", "--samples", "0"],
         ["verify-bounds", "--method", "quad", "--nodes", "0"],

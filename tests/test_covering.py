@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleycover import (
     DiscreteSimplex,
@@ -26,6 +28,7 @@ from cayleycover import tiles
 from conftest import (
     grid_cover_falsify,
     grid_point_covered,
+    hnfs,
     make_corpus,
     random_hnf,
     simplex_points_brute,
@@ -206,6 +209,18 @@ def test_falsifier_matches_grid_oracle():
             r = rng.randint(1, 4)
             expected = grid_cover_falsify(n, D, lat, r)
             assert continuous_cover_falsify(n, D, lat, r) == expected, (lat, D, r)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.integers(1, 3).flatmap(lambda n: hnfs(n, 30)),
+    st.integers(-8, 8),
+    st.integers(1, 3),
+)
+def test_falsifier_matches_grid_oracle_on_drawn_cases(lat, quarters, r):
+    n = lat.dim
+    D = build_tile(lat).m_diameter + n + Fraction(quarters, 4)
+    assert continuous_cover_falsify(n, D, lat, r) == grid_cover_falsify(n, D, lat, r)
 
 
 def test_continuous_cover_threshold_is_diameter_plus_n():

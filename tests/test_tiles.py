@@ -2,9 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleycover import (
+    CayleyTile,
     DimensionMismatch,
+    MultipleMinimalNotches,
     NotACovering,
     build_tile,
     enumerate_orthant_prec,
@@ -26,6 +30,7 @@ from conftest import (
     bfs_quotient_diameter,
     brute_notch_candidates,
     cube_positive_lattice_vectors,
+    hnfs,
     make_corpus,
     simplex_points_brute,
 )
@@ -149,6 +154,37 @@ def test_find_notch_agrees_with_direct_scan():
             assert all(
                 all(e <= c for e, c in zip(expected, cand)) for cand in candidates
             )
+
+
+# index caps keep the brute-force box scan of the oracle fast
+_NOTCH_CAPS = {1: 40, 2: 60, 3: 40, 4: 24, 5: 16}
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 5).flatmap(lambda n: hnfs(n, _NOTCH_CAPS[n])))
+def test_find_notch_matches_brute_force(lat):
+    tile = build_tile(lat)
+    _, minimal = brute_notch_candidates(tile.points, tile.dim)
+    assert len(minimal) <= 1
+    notch = find_notch(tile)
+    assert notch == (minimal[0] if minimal else None)
+    if notch is not None:
+        # an outer corner of the tile with every coordinate positive
+        assert notch not in tile.point_set and min(notch) >= 1
+        for k in range(tile.dim):
+            assert notch[:k] + (notch[k] - 1,) + notch[k + 1 :] in tile.point_set
+
+
+def test_find_notch_raises_on_two_minimal_candidates():
+    # downward closure of (1, 3), (2, 2), (3, 1): outer corners (2, 3) and (3, 2)
+    tops = [(1, 3), (2, 2), (3, 1)]
+    points = tuple(
+        p for p in itertools.product(range(4), repeat=2)
+        if any(p[0] <= a and p[1] <= b for a, b in tops)
+    )
+    tile = CayleyTile(dim=2, points=points, m_diameter=4, source_lattice=None)
+    with pytest.raises(MultipleMinimalNotches, match=r"\[\(2, 3\), \(3, 2\)\]"):
+        find_notch(tile)
 
 
 def test_tile_from_difference_examples():
