@@ -231,6 +231,21 @@ def enumerate_sublattices(n: int, index: int) -> Iterator[IntegerLattice]:
     yield from rec(0, index, [], [])
 
 
+def count_sublattices(n: int, index: int) -> int:
+    """Number of sublattices of Z^n with the given index, i.e. how many
+    ``enumerate_sublattices`` yields.
+
+    A first diagonal entry e leaves e choices for each of the n-1 entries
+    below it, so count(n, m) = sum over e | m of e^(n-1) count(n-1, m/e),
+    with count(1, m) = 1.
+    """
+    if n < 1 or index < 1:
+        raise ValueError("need n >= 1 and index >= 1")
+    if n == 1:
+        return 1
+    return sum(e ** (n - 1) * count_sublattices(n - 1, index // e) for e in divisors(index))
+
+
 def lattice_to_json_dict(lattice: IntegerLattice) -> dict:
     return {"n": lattice.dim, "basis": [list(row) for row in lattice.basis]}
 

@@ -8,15 +8,30 @@ C(d+n, n) with the closed-form upper bound below, both of which the test
 suite verifies independently.
 
 A lattice's tile has diameter at most d exactly when the C(d+n, n) points
-of the radius-d simplex meet every coset.  ``_first_fit`` tests that for
-many lattices at once: it takes the enumeration in chunks, groups each
-chunk by HNF diagonal, reduces the simplex through every basis of a group
-with numpy (the sub-diagonal entries are an array axis) and checks that
-each basis yields all ``det`` mixed-radix residues.  Groups whose
-intermediates could leave int64 fall back to the exact per-lattice scan.
-The first fit in enumeration order is returned, so the witness is the
-lexicographically least successful basis.  The search runs in one process
-and streams each index from the enumerator, one chunk at a time.
+of the radius-d simplex meet every coset.  The search tests that on whole
+indices held as int64 arrays and builds a lattice object only for the
+witness:
+
+- The HNFs of index m fall into one block per diagonal (d0, ..., d_{n-1})
+  with product m.  A block's rows are its sub-diagonal entries, taken in
+  row-major order (1,0), (2,0), (2,1), (3,0), ..., entry (i, j) ranging
+  over [0, d_j); row k is ``np.unravel_index(k, shape)``.  Rows are made
+  in chunks of at most ``_CHUNK_CELLS`` rows x max(simplex points, m)
+  cells, so a block is never held whole.
+- ``_fit_rows`` reduces the simplex through every row of a chunk at once,
+  the diagonal a constant and the entries array columns, and a row fits
+  when it yields all m mixed-radix residues.
+- Within a block, C order is lexicographic order of the flattened basis,
+  which is the order of ``enumerate_sublattices``; so a block's first
+  fitting row is its least, and the witness is the least of the block
+  minima.  Each block is scanned only below the best witness so far.
+- ``candidates_scanned`` counts what ``enumerate_sublattices`` would
+  yield up to and including the witness: every lattice of the indices
+  above it, plus 1 + the witness's rank at its own index.  ``_rank``
+  counts a block's rows below a basis without generating them.
+- ``_int64_safe`` is checked once per block.  A block whose intermediates
+  could leave int64 is tested lattice by lattice with the exact scan
+  ``fits_diameter`` instead.
 """
 
 from __future__ import annotations
@@ -25,16 +40,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import CapTooSmall
-from .lattices import IntegerLattice, enumerate_sublattices
+# enumerate_sublattices is not called here: it fixes the order the search reproduces
+from .lattices import (
+    IntegerLattice,
+    count_sublattices,
+    divisors,
+    enumerate_sublattices,
+)
 from .tiles import enumerate_orthant_prec, fits_diameter
 
-# lattices per batch, and a cap on lattices x simplex points per batch
-_CHUNK = 1024
+# a cap on rows x max(simplex points, index) per batch
 _CHUNK_CELLS = 1 << 20
 _INT64_MAX = 2**63 - 1
 
@@ -106,55 +126,130 @@ def _int64_safe(diag: Sequence[int], d: int) -> bool:
     return max(max(bound) * max(diag), math.prod(diag)) <= _INT64_MAX
 
 
-def _fit_mask(lattices: Sequence[IntegerLattice], d: int) -> list[bool]:
-    """Per lattice, whether its tile has diameter at most d, i.e. whether
-    the radius-d simplex meets every coset."""
-    n = lattices[0].dim
+def _diagonals(n: int, m: int) -> Iterator[tuple[int, ...]]:
+    """HNF diagonals of index m: ordered factorizations of m into n
+    factors, in lexicographic order."""
+    if n == 1:
+        yield (m,)
+        return
+    for a in divisors(m):
+        for rest in _diagonals(n - 1, m // a):
+            yield (a,) + rest
+
+
+def _cell_shape(diag: Sequence[int]) -> tuple[int, ...]:
+    """Ranges of the sub-diagonal entries (1,0), (2,0), (2,1), ... of the
+    HNFs with this diagonal."""
+    return tuple(diag[j] for i in range(len(diag)) for j in range(i))
+
+
+def _block_rows(diag: Sequence[int], lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of the diagonal's block, one column per sub-diagonal
+    entry."""
+    shape = _cell_shape(diag)
+    if not shape:
+        return np.zeros((hi - lo, 0), dtype=np.int64)
+    return np.stack(np.unravel_index(np.arange(lo, hi), shape), axis=1)
+
+
+def _basis(diag: Sequence[int], cells: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The HNF basis with this diagonal and these sub-diagonal entries."""
+    n = len(diag)
+    entries = iter(map(int, cells))
+    return tuple(
+        tuple(next(entries) for _ in range(i)) + (diag[i],) + (0,) * (n - i - 1)
+        for i in range(n)
+    )
+
+
+def _rank(diag: Sequence[int], flat: Sequence[int]) -> int:
+    """Number of rows in the diagonal's block whose flattened basis is
+    lexicographically less than ``flat``."""
+    n = len(diag)
+    # each basis entry, row-major, takes the values [low, low + span)
+    ranges = [
+        (0, diag[j]) if j < i else (diag[i], 1) if j == i else (0, 1)
+        for i in range(n)
+        for j in range(n)
+    ]
+    rank = 0
+    rest = math.prod(span for _, span in ranges)
+    for (low, span), v in zip(ranges, flat):
+        rest //= span
+        rank += min(max(v - low, 0), span) * rest
+        if not low <= v < low + span:
+            break
+    return rank
+
+
+def _simplex(n: int, d: int) -> np.ndarray:
+    """The C(d+n, n) points of the radius-d simplex, one per row."""
     points = list(islice(enumerate_orthant_prec(n), math.comb(d + n, n)))
-    simplex = np.array(points, dtype=np.int64).reshape(len(points), n)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for pos, lattice in enumerate(lattices):
-        groups.setdefault(lattice.diagonal, []).append(pos)
-    fits = [False] * len(lattices)
-    for diag, members in groups.items():
-        if not _int64_safe(diag, d):
-            for pos in members:
-                fits[pos] = fits_diameter(lattices[pos], d)
+    return np.array(points, dtype=np.int64).reshape(len(points), n)
+
+
+def _fit_rows(diag: Sequence[int], cells: np.ndarray, simplex: np.ndarray) -> np.ndarray:
+    """Per row of ``cells``, whether the HNF with this diagonal and these
+    sub-diagonal entries has a tile of diameter at most d, i.e. whether the
+    radius-d ``simplex`` meets every coset."""
+    n = len(diag)
+    r = list(simplex.T)  # coordinate j of every point; gains the row axis
+    for i in range(n - 1, -1, -1):
+        q = r[i] // diag[i]
+        r[i] = r[i] - q * diag[i]
+        for j in range(i):
+            r[j] = r[j] - q * cells[:, i * (i - 1) // 2 + j, None]
+    residue = np.zeros((len(cells), len(simplex)), dtype=np.int64)
+    stride = 1
+    for j, a in enumerate(diag):
+        residue += r[j] * stride
+        stride *= a
+    seen = np.zeros((len(cells), stride), dtype=bool)
+    seen[np.arange(len(cells))[:, None], residue] = True
+    return seen.all(axis=1)
+
+
+def _least_fit(diag: tuple[int, ...], d: int, simplex: np.ndarray, limit: int):
+    """Basis of the first of the block's rows 0..limit-1 that fits, or None."""
+    size = max(1, _CHUNK_CELLS // max(len(simplex), math.prod(diag)))
+    safe = _int64_safe(diag, d)
+    for lo in range(0, limit, size):
+        cells = _block_rows(diag, lo, min(lo + size, limit))
+        if safe:
+            hits = np.flatnonzero(_fit_rows(diag, cells, simplex))
+            if len(hits):
+                return _basis(diag, cells[hits[0]])
             continue
-        basis = np.array([lattices[pos].basis for pos in members], dtype=np.int64)
-        r = list(simplex.T)  # coordinate j of every point; gains the group axis
-        for i in range(len(diag) - 1, -1, -1):
-            q = r[i] // diag[i]
-            r[i] = r[i] - q * diag[i]
-            for j in range(i):
-                r[j] = r[j] - q * basis[:, i, j, None]
-        residue = np.zeros((len(members), len(points)), dtype=np.int64)
-        stride = 1
-        for j, a in enumerate(diag):
-            residue += r[j] * stride
-            stride *= a
-        seen = np.zeros((len(members), stride), dtype=bool)
-        seen[np.arange(len(members))[:, None], residue] = True
-        for pos, hit in zip(members, seen.all(axis=1)):
-            fits[pos] = bool(hit)
-    return fits
+        for row in cells:
+            basis = _basis(diag, row)
+            if fits_diameter(IntegerLattice(len(diag), basis), d):
+                return basis
+    return None
 
 
-def _first_fit(n: int, d: int, lattices: Iterable[IntegerLattice]):
-    """First lattice, in the given order, whose tile has diameter at most d.
+def _scan_index(n: int, d: int, m: int, simplex: np.ndarray):
+    """Least lattice of index m whose tile has diameter at most d.
 
-    Returns (inspected_count, lattice_or_None): the count runs up to and
-    including the fit, or over all lattices when none fits.
+    Returns (inspected_count, lattice_or_None): the count runs, in the
+    order of ``enumerate_sublattices``, up to and including the fit, or
+    over all lattices of the index when none fits.
     """
-    size = max(1, min(_CHUNK, _CHUNK_CELLS // math.comb(d + n, n)))
-    stream = iter(lattices)
-    inspected = 0
-    while chunk := list(islice(stream, size)):
-        for i, fits in enumerate(_fit_mask(chunk, d)):
-            if fits:
-                return inspected + i + 1, chunk[i]
-        inspected += len(chunk)
-    return inspected, None
+    diags = list(_diagonals(n, m))
+    sizes = [math.prod(_cell_shape(diag)) for diag in diags]
+    if sum(sizes) != count_sublattices(n, m):
+        raise RuntimeError(
+            f"blocks of index {m} in dimension {n} hold {sum(sizes)} rows, "
+            f"not {count_sublattices(n, m)}"
+        )
+    best = None
+    for diag, size in zip(diags, sizes):
+        # only rows below the best so far are scanned, so a fit replaces it
+        limit = size if best is None else _rank(diag, sum(best, ()))
+        best = _least_fit(diag, d, simplex, limit) or best
+    if best is None:
+        return sum(sizes), None
+    flat = sum(best, ())
+    return 1 + sum(_rank(diag, flat) for diag in diags), IntegerLattice(n, best)
 
 
 def brute_force_f(n: int, d: int, index_cap: Optional[int] = None) -> SearchReport:
@@ -181,9 +276,10 @@ def brute_force_f(n: int, d: int, index_cap: Optional[int] = None) -> SearchRepo
         start = min(index_cap, default_cap)
         exhaustive = index_cap >= default_cap
 
+    simplex = _simplex(n, d)
     scanned = 0
     for m in range(start, 0, -1):
-        inspected, witness = _first_fit(n, d, enumerate_sublattices(n, m))
+        inspected, witness = _scan_index(n, d, m, simplex)
         scanned += inspected
         if witness is not None:
             return SearchReport(

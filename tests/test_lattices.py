@@ -18,7 +18,7 @@ from cayleycover import (
     reduce_mod,
     same_coset,
 )
-from cayleycover.lattices import lattice_points_in_box
+from cayleycover.lattices import count_sublattices, lattice_points_in_box
 from conftest import (
     det_laplace,
     make_corpus,
@@ -114,12 +114,13 @@ def test_residue_count_over_box():
     for _ in range(25):
         n = rng.choice([2, 3])
         lat = hnf_normalize(random_full_rank_matrix(rng, n, span=3))
-        box = 2 * max(lat.diagonal)
+        # 2^n whole fundamental boxes, so every coset is hit
         seen = set()
-        import itertools
-
-        for p in itertools.product(range(box), repeat=n):
-            seen.add(reduce_mod(lat, p))
+        for p in itertools.product(*(range(2 * a) for a in lat.diagonal)):
+            r = reduce_mod(lat, p)
+            assert all(0 <= v < a for v, a in zip(r, lat.diagonal))
+            assert reduce_mod(lat, r) == r
+            seen.add(r)
         assert len(seen) == lat.det
 
 
@@ -138,6 +139,26 @@ def test_enumerate_counts():
     assert len(list(enumerate_sublattices(2, 4))) == 7
     for m in range(1, 61):
         assert len(list(enumerate_sublattices(2, m))) == sigma_divisors(m)
+
+
+def test_count_sublattices_matches_enumeration():
+    for n in (1, 2, 3):
+        for m in range(1, 41):
+            assert count_sublattices(n, m) == len(list(enumerate_sublattices(n, m)))
+    # dimension 4 up to m = 12 here; test_index_rows_match_enumerator draws
+    # up to m = 40, where an index holds up to 2e5 lattices
+    for m in range(1, 13):
+        assert count_sublattices(4, m) == len(list(enumerate_sublattices(4, m)))
+    for m in range(1, 61):
+        assert count_sublattices(2, m) == sigma_divisors(m)
+    # index p: the hyperplanes of (Z/p)^n
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in range(1, 7):
+            assert count_sublattices(n, p) == (p**n - 1) // (p - 1)
+    with pytest.raises(ValueError):
+        count_sublattices(0, 1)
+    with pytest.raises(ValueError):
+        count_sublattices(2, 0)
 
 
 def test_enumerate_is_canonical_unique_and_ordered():

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,12 +24,18 @@ from cayleycover import (
     hnf_normalize,
     theta_lower_bound,
 )
-from cayleycover.lattices import divisors
+from cayleycover.lattices import count_sublattices, divisors, enumerate_sublattices
 from conftest import bfs_quotient_diameter
 
 # (n, d) -> candidates_scanned, with f and the witness fixed by
 # the benchmark oracle
 BENCH_GRID_SCANNED = {(2, 16): 44, (3, 3): 2792, (3, 4): 15208, (4, 2): 12666, (5, 1): 770}
+
+# (n, d) -> (f, witness, candidates_scanned) beyond the benchmark grid
+LARGER_POINTS = {
+    (3, 5): (40, ((5, 0, 0), (0, 8, 0), (4, 5, 1)), 75877),
+    (4, 3): (27, ((3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (1, 1, 1, 1)), 509409),
+}
 
 
 def test_f2_closed_form_values():
@@ -133,6 +140,36 @@ def test_candidates_scanned_pinned():
         assert brute_force_f(n, d).candidates_scanned == scanned
 
 
+def test_larger_points_pinned():
+    for (n, d), (f_value, witness, scanned) in LARGER_POINTS.items():
+        report = brute_force_f(n, d)
+        assert report.f_value == f_value
+        assert report.witness.basis == witness
+        assert report.candidates_scanned == scanned
+        assert bfs_quotient_diameter(report.witness) <= d
+
+
+# an index of Z^4 below 40 holds up to 2e5 lattices; the oracle builds each
+@settings(max_examples=12, deadline=None, database=None)
+@given(st.integers(1, 4), st.integers(1, 40), st.data())
+def test_index_rows_match_enumerator(n, m, data):
+    expected = [lattice.basis for lattice in enumerate_sublattices(n, m)]
+    diags = list(search_mod._diagonals(n, m))
+    rows = []
+    for diag in diags:
+        size = math.prod(search_mod._cell_shape(diag))
+        cells = search_mod._block_rows(diag, 0, size).tolist()
+        block = [search_mod._basis(diag, c) for c in cells]
+        assert block == sorted(block)  # C order is key order
+        rows += block
+    assert sorted(rows) == expected
+    assert len(rows) == count_sublattices(n, m)
+    # the rank rule: a basis's position in the enumeration order
+    k = data.draw(st.integers(0, len(expected) - 1))
+    flat = sum(expected[k], ())
+    assert sum(search_mod._rank(diag, flat) for diag in diags) == k
+
+
 @st.composite
 def hnf_group(draw):
     """Canonical HNFs of one diagonal (one batch group) plus a few of other
@@ -164,8 +201,21 @@ def hnf_group(draw):
 @given(hnf_group())
 def test_batched_fit_matches_scan_and_bfs(case):
     lattices, d = case
+    n = lattices[0].dim
+    simplex = search_mod._simplex(n, d)
+    groups = {}
+    for pos, lattice in enumerate(lattices):
+        groups.setdefault(lattice.diagonal, []).append(pos)
+    batched = [None] * len(lattices)
+    for diag, members in groups.items():
+        cells = np.array(
+            [[v for i, row in enumerate(lattices[pos].basis) for v in row[:i]] for pos in members],
+            dtype=np.int64,
+        ).reshape(len(members), n * (n - 1) // 2)
+        for pos, fits in zip(members, search_mod._fit_rows(diag, cells, simplex)):
+            batched[pos] = bool(fits)
     expected = [fits_diameter(lattice, d) for lattice in lattices]
-    assert search_mod._fit_mask(lattices, d) == expected
+    assert batched == expected
     assert expected == [bfs_quotient_diameter(lattice) <= d for lattice in lattices]
 
 
