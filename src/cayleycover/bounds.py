@@ -9,11 +9,11 @@ d*^4/32.  With a notch at (v, v, v, v) the same integral shrinks to
 also lost, and the resulting quartic bound peaks at v = d*/7 with value
 11 d*^4/343.
 
-This module provides the region membership predicates, Monte-Carlo and
-nested-quadrature estimates of the integrals, and exact rational twins of
-every closed form so the polynomial identities can be checked with no
-floating error at all.  Monte-Carlo streams are keyed by (seed, chunk), so
-estimates are reproducible regardless of how chunks are scheduled.
+This module provides the region membership predicates, Monte-Carlo
+estimates of the integrals, an exact nested quadrature of them, and exact
+rational twins of every closed form so the polynomial identities can be
+checked with no floating error at all.  Monte-Carlo streams are keyed by
+(seed, chunk), so estimates are reproducible.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ DEFAULT_SEED = 1729
 # pass gates used by the verification battery
 MC_SIGMA_GATE = 3.0
 MC_REL_TOL = 1e-2
-QUAD_REL_TOL = 1e-6
 
 _MC_CHUNK = 1 << 16
 
@@ -64,7 +63,11 @@ class NotchConfig:
 
 @dataclass(frozen=True)
 class IntegralEstimate:
-    value: float
+    """For Monte Carlo, ``samples`` counts the draws.  For the exact
+    quadrature, ``value`` is the integral itself and ``samples`` counts the
+    pieces summed."""
+
+    value: object
     std_error: float
     samples: int
     method: str
@@ -128,9 +131,9 @@ def _mc_over_simplex(dim, d_star, values_of, samples, seed):
     """Mean of an integrand over the solid simplex {x >= 0, sum <= d*}.
 
     Samples via sorted-uniform spacings (uniform on the simplex), evaluates
-    ``values_of`` per chunk, and scales by the simplex volume.  Chunk sums
-    are combined with exact float summation, so results do not depend on
-    how chunks would be distributed across workers.
+    ``values_of`` per chunk, and scales by the simplex volume.  Each chunk
+    draws from its own stream keyed by (seed, chunk), and chunk sums are
+    combined with exact float summation.
     """
     if samples < 1:
         raise BadSampleCount(f"need at least one sample, got {samples}")
@@ -159,69 +162,67 @@ def _mc_over_simplex(dim, d_star, values_of, samples, seed):
 
 
 # ---------------------------------------------------------------------------
-# nested quadrature over the explicit iterated limits
+# exact nested quadrature over the explicit iterated limits
 
-def _leggauss(nodes: int):
-    return np.polynomial.legendre.leggauss(nodes)
-
-
-Piece = tuple[float, float, Callable, Callable, Callable, Callable]
+# A piece (a, b, c, e, g, h) integrates d - u - w - t over a <= u <= b,
+# c(u) <= w <= e(u), g(u, w) <= t <= h(u, w); every limit is linear.
+Piece = tuple[object, object, Callable, Callable, Callable, Callable]
 
 
-def _no_notch_pieces(d: float) -> list[Piece]:
-    q = d / 4.0
+def _no_notch_pieces(d) -> list[Piece]:
+    q = d / 4
     return [
-        (0.0, q, lambda u: d - 3 * u, lambda u: d - u,
-         lambda u, w: 0.5 * (d - u - w), lambda u, w: d - u - w),
-        (q, d, lambda u: (d - u) / 3.0, lambda u: d - u,
-         lambda u, w: 0.5 * (d - u - w), lambda u, w: d - u - w),
+        (0, q, lambda u: d - 3 * u, lambda u: d - u,
+         lambda u, w: (d - u - w) / 2, lambda u, w: d - u - w),
+        (q, d, lambda u: (d - u) / 3, lambda u: d - u,
+         lambda u, w: (d - u - w) / 2, lambda u, w: d - u - w),
         # two symmetric wings, one along each of the first two axes
-        (0.0, q, lambda u: u, lambda u: d - 3 * u,
+        (0, q, lambda u: u, lambda u: d - 3 * u,
          lambda u, w: d - 2 * u - w, lambda u, w: d - u - w),
-        (0.0, q, lambda u: u, lambda u: d - 3 * u,
+        (0, q, lambda u: u, lambda u: d - 3 * u,
          lambda u, w: d - 2 * u - w, lambda u, w: d - u - w),
     ]
 
 
-def _notch_pieces(d: float, v: float) -> list[Piece]:
+def _notch_pieces(d, v) -> list[Piece]:
     return [
-        (0.0, v, lambda u: d - 3 * u, lambda u: d - u,
-         lambda u, w: 0.5 * (d - u - w), lambda u, w: d - u - w),
+        (0, v, lambda u: d - 3 * u, lambda u: d - u,
+         lambda u, w: (d - u - w) / 2, lambda u, w: d - u - w),
         (v, d - 3 * v, lambda u: d - u - 2 * v, lambda u: d - u,
-         lambda u, w: 0.5 * (d - u - w), lambda u, w: d - u - w),
-        (d - 3 * v, d, lambda u: (d - u) / 3.0, lambda u: d - u,
-         lambda u, w: 0.5 * (d - u - w), lambda u, w: d - u - w),
+         lambda u, w: (d - u - w) / 2, lambda u, w: d - u - w),
+        (d - 3 * v, d, lambda u: (d - u) / 3, lambda u: d - u,
+         lambda u, w: (d - u - w) / 2, lambda u, w: d - u - w),
         (v, d - 3 * v, lambda u: v, lambda u: d - u - 2 * v,
          lambda u, w: d - u - w - v, lambda u, w: d - u - w),
-        (0.0, v, lambda u: u, lambda u: d - 3 * u,
+        (0, v, lambda u: u, lambda u: d - 3 * u,
          lambda u, w: d - 2 * u - w, lambda u, w: d - u - w),
-        (0.0, v, lambda u: u, lambda u: d - 3 * u,
+        (0, v, lambda u: u, lambda u: d - 3 * u,
          lambda u, w: d - 2 * u - w, lambda u, w: d - u - w),
     ]
 
 
-def _nested_quadrature(pieces: list[Piece], d: float, nodes: int) -> float:
-    """Gauss-Legendre in each of the three nested variables of every piece."""
-    xg, wg = _leggauss(nodes)
-    total = 0.0
-    for a, b, clo, chi, glo, ghi in pieces:
-        if not b > a:
-            continue
-        hu = 0.5 * (b - a)
-        for ui, wu in zip(0.5 * (a + b) + hu * xg, wg):
-            c, e = clo(ui), chi(ui)
-            if not e > c:
-                continue
-            hw = 0.5 * (e - c)
-            w = 0.5 * (c + e) + hw * xg
-            g = glo(ui, w)
-            h = ghi(ui, w)
-            ht = 0.5 * (h - g)
-            t = (0.5 * (g + h))[:, None] + ht[:, None] * xg[None, :]
-            f = d - ui - w[:, None] - t
-            inner = ht * (f * wg[None, :]).sum(axis=1)
-            total += float(hu * wu * hw * (wg * inner).sum())
-    return total
+def _simpson(f, a, b):
+    """Simpson's rule on [a, b]; exact for polynomials of degree <= 3."""
+    return (b - a) * (f(a) + 4 * f((a + b) / 2) + f(b)) / 6
+
+
+def _exact_estimate(pieces: list[Piece], d) -> IntegralEstimate:
+    """Midpoint rule in t, Simpson in w and in u, summed over the pieces.
+
+    The t-integral (h - g)(d - u - w - (g + h)/2) is quadratic in w and its
+    w-integral is cubic in u, so every step is exact: rational inputs give
+    the exact rational, float inputs a float.
+    """
+
+    def piece_integral(a, b, c, e, g, h):
+        def t_integral(u, w):
+            gt, ht = g(u, w), h(u, w)
+            return (ht - gt) * (d - u - w - (gt + ht) / 2)
+
+        return _simpson(lambda u: _simpson(lambda w: t_integral(u, w), c(u), e(u)), a, b)
+
+    value = sum(piece_integral(*piece) for piece in pieces)
+    return IntegralEstimate(value, 0.0, len(pieces), "nested_quadrature", None)
 
 
 def _normalize_method(method: str) -> str:
@@ -241,18 +242,17 @@ def integral_no_notch(
     method: str = "monte_carlo",
     samples: int = 1_000_000,
     seed: int = DEFAULT_SEED,
-    nodes: int = 96,
 ) -> IntegralEstimate:
     """Estimate of the no-notch region integral; closed form d*^4/384."""
     kind = _normalize_method(method)
-    d = float(d_star)
     if kind == "monte_carlo":
+        d = float(d_star)
         value, err = _mc_over_simplex(
             3, d, lambda x: _no_notch_values(x, d), samples, seed
         )
         return IntegralEstimate(value, err, samples, kind, seed)
-    value = _nested_quadrature(_no_notch_pieces(d), d, nodes)
-    return IntegralEstimate(value, 0.0, nodes, kind, None)
+    d = _exact(d_star)
+    return _exact_estimate(_no_notch_pieces(d), d)
 
 
 def integral_notch(
@@ -260,22 +260,21 @@ def integral_notch(
     method: str = "monte_carlo",
     samples: int = 1_000_000,
     seed: int = DEFAULT_SEED,
-    nodes: int = 96,
 ) -> IntegralEstimate:
     """Estimate of the notch-case region integral.
 
     Closed form 2v^4 - (4 d*/3) v^3 + (d*^2/4) v^2.
     """
     kind = _normalize_method(method)
-    d = float(config.d_star)
-    v = float(config.v)
     if kind == "monte_carlo":
+        d = float(config.d_star)
+        v = float(config.v)
         value, err = _mc_over_simplex(
             3, d, lambda x: _notch_values(x, d, v), samples, seed
         )
         return IntegralEstimate(value, err, samples, kind, seed)
-    value = _nested_quadrature(_notch_pieces(d, v), d, nodes)
-    return IntegralEstimate(value, 0.0, nodes, kind, None)
+    d = _exact(config.d_star)
+    return _exact_estimate(_notch_pieces(d, _exact(config.v)), d)
 
 
 def notch_region_volume_estimate(
@@ -377,7 +376,7 @@ def optimize_notch(d_star) -> NotchOptimum:
     for i in range(steps + 1):
         value = notch_volume_bound(d, d * i / (4 * steps))
         if value > optimum.max_value + cushion:
-            raise AssertionError(
+            raise RuntimeError(
                 f"grid value {value} exceeds the stated maximum {optimum.max_value}"
             )
     return optimum

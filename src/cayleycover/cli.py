@@ -268,14 +268,6 @@ def _mc_check(name, estimate, closed) -> BoundCheck:
     )
 
 
-def _quad_check(name, estimate, closed) -> BoundCheck:
-    closed_f = float(closed)
-    abs_err = abs(estimate.value - closed_f)
-    rel_err = _relative(abs_err, closed_f)
-    passed = rel_err <= bounds.QUAD_REL_TOL
-    return BoundCheck(name, estimate.value, closed_f, abs_err, rel_err, 0.0, passed)
-
-
 def _exact_check(name, value, expected) -> BoundCheck:
     abs_err = abs(float(value - expected))
     return BoundCheck(
@@ -295,7 +287,6 @@ def bound_check_battery(
     method: str = "mc",
     samples: int = 1_000_000,
     seed: int = bounds.DEFAULT_SEED,
-    nodes: int = 96,
     identity_pairs: int = 1000,
 ) -> list[BoundCheck]:
     """All verification checks at one diameter, as BoundCheck records."""
@@ -327,17 +318,19 @@ def bound_check_battery(
                 )
             )
     else:
-        est = bounds.integral_no_notch(d_star, "quad", nodes=nodes)
+        est = bounds.integral_no_notch(d_star, "quad")
         checks.append(
-            _quad_check("integral_no_notch[quad]", est, bounds.no_notch_integral_value(d_star))
+            _exact_check(
+                "integral_no_notch[quad]", est.value, bounds.no_notch_integral_value(d_star)
+            )
         )
         for v in vs:
             cfg = bounds.NotchConfig(d_star, v)
-            est = bounds.integral_notch(cfg, "quad", nodes=nodes)
+            est = bounds.integral_notch(cfg, "quad")
             checks.append(
-                _quad_check(
+                _exact_check(
                     f"integral_notch[quad] v={v}",
-                    est,
+                    est.value,
                     bounds.notch_integral_value(d_star, v),
                 )
             )
@@ -432,7 +425,6 @@ def _cmd_verify_bounds(args) -> int:
         method=args.method,
         samples=args.samples,
         seed=args.seed,
-        nodes=args.nodes,
     )
     if args.json:
         emit_report([c.as_dict() for c in checks], "json", args.out)
@@ -541,7 +533,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=bounds.DEFAULT_SEED)
     p.add_argument("--method", choices=["mc", "quad"], default="mc")
-    p.add_argument("--nodes", type=int, default=96)
+    p.add_argument(
+        "--nodes", type=int, default=96,
+        help="accepted for compatibility; no effect, the quadrature is exact",
+    )
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify_bounds)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleycover import (
     BadSampleCount,
@@ -26,6 +28,7 @@ from cayleycover import (
     optimize_notch,
     tile_volume_bound_dim4,
 )
+from cayleycover import bounds
 
 
 def random_rational_pairs(seed, count):
@@ -130,6 +133,14 @@ def test_optimize_notch_examples():
     assert opt.max_value == pytest.approx(11 * 16 / 343)
 
 
+def test_optimize_notch_grid_excess_raises(monkeypatch):
+    monkeypatch.setattr(
+        bounds, "notch_volume_bound", lambda d_star, v: 11 * d_star**4 / 343 + 1
+    )
+    with pytest.raises(RuntimeError):
+        optimize_notch(Fraction(1))
+
+
 def test_optimize_notch_strict_interior_maximum():
     for d in (Fraction(1), Fraction(7), Fraction(5, 3)):
         opt = optimize_notch(d)
@@ -200,27 +211,36 @@ def test_pocket_volume_estimate():
 
 
 def test_quadrature_matches_closed_forms():
-    for d in (1.0, 2.0):
-        est = integral_no_notch(d, method="quad", nodes=256)
-        closed = float(no_notch_integral_value(Fraction(int(d))))
-        assert est.value == pytest.approx(closed, rel=1e-6)
-        for v in (Fraction(1, 8), Fraction(1, 7), Fraction(1, 5), Fraction(1, 4)):
-            cfg = NotchConfig(Fraction(int(d)), v * int(d))
-            est = integral_notch(cfg, method="quad", nodes=256)
-            closed = float(notch_integral_value(Fraction(int(d)), v * int(d)))
-            assert est.value == pytest.approx(closed, rel=1e-6)
+    # v = 0 and v = d*/4 leave some pieces empty
+    for d in (Fraction(1), Fraction(2), Fraction(7, 3)):
+        assert integral_no_notch(d, method="quad").value == no_notch_integral_value(d)
+        for v in (Fraction(0), d / 8, d / 7, d / 5, d / 4):
+            est = integral_notch(NotchConfig(d, v), method="quad")
+            assert est.value == notch_integral_value(d, v)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.fractions(min_value=Fraction(1, 1000), max_value=1000),
+    st.fractions(min_value=0, max_value=Fraction(1, 4)),
+)
+def test_quadrature_is_exact_on_random_rationals(d, share):
+    v = d * share
+    assert integral_no_notch(d, method="quad").value == no_notch_integral_value(d)
+    est = integral_notch(NotchConfig(d, v), method="quad")
+    assert est.value == notch_integral_value(d, v)
 
 
 def test_quadrature_at_low_node_count_is_already_tight():
-    # the integrand is polynomial, so modest node counts are exact
-    est = integral_no_notch(1.0, method="quad", nodes=8)
+    # float input stays float and lands on the closed form
+    est = integral_no_notch(1.0, method="quad")
     assert est.value == pytest.approx(1 / 384, rel=1e-12)
 
 
 def test_estimate_metadata_and_errors():
     est = integral_no_notch(1.0, samples=1000, seed=5)
     assert est.method == "monte_carlo" and est.samples == 1000 and est.seed == 5
-    quad = integral_no_notch(1.0, method="nested_quadrature", nodes=16)
+    quad = integral_no_notch(1.0, method="nested_quadrature")
     assert quad.method == "nested_quadrature" and quad.std_error == 0.0
     with pytest.raises(BadSampleCount):
         integral_no_notch(1.0, samples=0)

@@ -142,6 +142,17 @@ def test_verify_bounds_quad_passes(tmp_path):
     assert "notch_bound_identity" in names
 
 
+def test_verify_bounds_quad_tiny_d_star_is_exact(capsys):
+    # the closed forms are subnormal floats here; the quadrature is exact,
+    # so nothing underflows to a false failure
+    assert main(["verify-bounds", "--method", "quad", "--d-star", "1e-80", "--json"]) == 0
+    checks = json.loads(capsys.readouterr().out)
+    assert all(c["pass"] for c in checks)
+    quad = [c for c in checks if "[quad]" in c["name"]]
+    assert len(quad) == 4
+    assert all(c["abs_err"] == 0 for c in quad)
+
+
 def test_verify_bounds_mc_failure_sets_exit_code(tmp_path):
     # at 50k samples this seed misses the 1 percent gate on two checks;
     # Philox streams are stable, so the failure is reproducible
