@@ -7,12 +7,14 @@ region integral whose closed form is d*^4/384, giving the tile at most
 d*^4/32.  With a notch at (v, v, v, v) the same integral shrinks to
 2v^4 - (4 d*/3) v^3 + (d*^2/4) v^2, a pocket of volume (d* - 4v)^4/24 is
 also lost, and the resulting quartic bound peaks at v = d*/7 with value
-11 d*^4/343.
+11 d*^4/343: its derivative factors as -224/3 (v - d*/4)^2 (v - d*/7), so
+it rises on [0, d*/7] and falls on [d*/7, d*/4].
 
 This module provides the region membership predicates, Monte-Carlo
 estimates of the integrals, an exact nested quadrature of them, and exact
-rational twins of every closed form so the polynomial identities can be
-checked with no floating error at all.  Monte-Carlo streams are keyed by
+rational twins of every closed form.  The polynomial identities are
+homogeneous in (d*, v), so a few exact ratios v/d* decide them with no
+floating error and no sampling.  Monte-Carlo streams are keyed by
 (seed, chunk), so estimates are reproducible.
 """
 
@@ -358,28 +360,20 @@ class NotchOptimum:
 def optimize_notch(d_star) -> NotchOptimum:
     """Stationary structure of the quartic bound on [0, d*/4].
 
-    The maximum sits at v = d*/7 with value 11 d*^4/343; v = d*/4 is a local
-    minimum with value d*^4/32.  A grid scan of the quartic double-checks
-    that nothing on the interval exceeds the reported maximum.
+    Its derivative -224/3 (v - d*/4)^2 (v - d*/7) is >= 0 up to d*/7 and
+    <= 0 after, so the maximum is 11 d*^4/343 at v = d*/7, and the falling
+    leg ends at the double root v = d*/4 with d*^4/32.  The quartic is
+    evaluated at both points in exact rationals, float inputs too, and a
+    mismatch with the stated value raises RuntimeError.
     """
     d = _exact(d_star)
     if d <= 0:
         raise ValueError("d_star must be positive")
-    optimum = NotchOptimum(
-        v_max=d / 7,
-        max_value=11 * d**4 / 343,
-        v_local_min=d / 4,
-        local_min_value=d**4 / 32,
-    )
-    steps = 1024
-    cushion = 0 if isinstance(d, Fraction) else 1e-9 * abs(optimum.max_value)
-    for i in range(steps + 1):
-        value = notch_volume_bound(d, d * i / (4 * steps))
-        if value > optimum.max_value + cushion:
-            raise RuntimeError(
-                f"grid value {value} exceeds the stated maximum {optimum.max_value}"
-            )
-    return optimum
+    q = Fraction(d)
+    for v, stated in ((q / 7, 11 * q**4 / 343), (q / 4, q**4 / 32)):
+        if notch_volume_bound(q, v) != stated:
+            raise RuntimeError(f"the quartic at v={v} is not the stated {stated}")
+    return NotchOptimum(d / 7, 11 * d**4 / 343, d / 4, d**4 / 32)
 
 
 def tile_volume_bound_dim4(d: int) -> Fraction:

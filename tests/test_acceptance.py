@@ -185,7 +185,7 @@ def test_criterion_6_notch_optimum_and_grid_scan():
         ok &= opt.v_local_min == d_star / 4
         ok &= opt.local_min_value == d_star**4 / 32
     d_star = Fraction(1)
-    cap = 11 * d_star**4 / 343 + Fraction(1, 10**12)
+    cap = 11 * d_star**4 / 343
     grid_ok = all(
         notch_volume_bound(d_star, d_star * i / 40_000) <= cap
         for i in range(10_001)

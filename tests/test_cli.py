@@ -1,8 +1,10 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from cayleycover import cli, covering
+from cayleycover import bounds, cli, covering
 from cayleycover.cli import emit_report, main
 
 
@@ -151,6 +153,59 @@ def test_verify_bounds_quad_tiny_d_star_is_exact(capsys):
     quad = [c for c in checks if "[quad]" in c["name"]]
     assert len(quad) == 4
     assert all(c["abs_err"] == 0 for c in quad)
+
+
+def test_notch_optimum_grid_sees_an_excess_far_below_the_maximum(monkeypatch):
+    # at d* = 1e-80 the maximum is about 3e-322; raising the quartic by a
+    # millionth of it at the two grid points around d*/7 must still fail
+    d_star = Fraction(1, 10**80)
+    peak = 11 * d_star**4 / 343
+    brackets = {d_star * 5714 / 40_000, d_star * 5715 / 40_000}
+    quartic = bounds.notch_volume_bound
+
+    def raised(d, v):
+        return quartic(d, v) + (peak / 10**6 if v in brackets else 0)
+
+    monkeypatch.setattr(bounds, "notch_volume_bound", raised)
+    checks = {c.name: c.passed for c in cli.bound_check_battery(d_star, method="quad")}
+    assert [name for name, passed in checks.items() if not passed] == ["notch_optimum_grid"]
+
+
+def test_notch_optimum_grid_estimate_is_the_full_grid_maximum():
+    # each full scan is 10 001 Fraction evaluations (about 0.5 s), so the
+    # random diameters are few, with a tiny and a huge one added
+    rng = random.Random(53)
+    drawn = [Fraction(rng.randint(1, 999), rng.randint(1, 99)) for _ in range(8)]
+    for d_star in drawn + [Fraction(1, 10**80), Fraction(10**20)]:
+        full = max(
+            bounds.notch_volume_bound(d_star, d_star * i / 40_000) for i in range(10_001)
+        )
+        checks = {c.name: c for c in cli.bound_check_battery(d_star, method="quad")}
+        assert checks["notch_optimum_grid"].estimate == float(full)
+        assert checks["notch_optimum_grid"].passed
+
+
+@pytest.mark.parametrize(
+    "function, check, term",
+    [
+        # both terms vanish at v = d*/7 and v = d*/4, where optimize_notch
+        # looks, so only the identity check can see them
+        ("notch_volume_bound", "notch_bound_identity",
+         lambda d, v: d * v * (v - d / 7) * (v - d / 4) / 10**6),
+        ("notch_volume_bound_derivative", "derivative_factorization",
+         lambda d, v: v * (v - d / 7) * (v - d / 4) / 10**6),
+    ],
+)
+def test_verify_bounds_identity_checks_catch_perturbations(
+    monkeypatch, capsys, function, check, term
+):
+    exact = getattr(bounds, function)
+    monkeypatch.setattr(bounds, function, lambda d, v: exact(d, v) + term(d, v))
+    assert main(["verify-bounds", "--method", "quad", "--d-star", "7/3", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    failed = [c["name"] for c in json.loads(captured.out) if not c["pass"]]
+    assert check in failed
 
 
 def test_verify_bounds_mc_failure_sets_exit_code(tmp_path):
