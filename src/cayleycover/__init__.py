@@ -12,6 +12,7 @@ from .bounds import (
     NotchConfig,
     NotchOptimum,
     derivative_factorization_residual,
+    derivative_integral_residual,
     in_region_no_notch,
     in_region_notch,
     integral_no_notch,

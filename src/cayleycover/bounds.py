@@ -8,7 +8,8 @@ d*^4/32.  With a notch at (v, v, v, v) the same integral shrinks to
 2v^4 - (4 d*/3) v^3 + (d*^2/4) v^2, a pocket of volume (d* - 4v)^4/24 is
 also lost, and the resulting quartic bound peaks at v = d*/7 with value
 11 d*^4/343: its derivative factors as -224/3 (v - d*/4)^2 (v - d*/7), so
-it rises on [0, d*/7] and falls on [d*/7, d*/4].
+it rises on [0, d*/7] and falls on [d*/7, d*/4].  Simpson's rule, exact on
+that cubic, ties the stated derivative to the quartic.
 
 This module provides the region membership predicates, Monte-Carlo
 estimates of the integrals, an exact nested quadrature of them, and exact
@@ -349,6 +350,16 @@ def derivative_factorization_residual(d_star, v):
     return notch_volume_bound_derivative(d, w) - factored
 
 
+def derivative_integral_residual(d_star, v):
+    """Rise of the quartic bound over [0, v] minus Simpson's rule on its
+    stated derivative; identically zero iff the derivative is the quartic's,
+    since Simpson's rule is exact on a cubic."""
+    d, w = _exact(d_star), _exact(v)
+    q, dq = notch_volume_bound, notch_volume_bound_derivative
+    simpson = w * (dq(d, 0) + 4 * dq(d, w / 2) + dq(d, w)) / 6
+    return q(d, w) - q(d, 0) - simpson
+
+
 @dataclass(frozen=True)
 class NotchOptimum:
     v_max: object
@@ -360,8 +371,9 @@ class NotchOptimum:
 def optimize_notch(d_star) -> NotchOptimum:
     """Stationary structure of the quartic bound on [0, d*/4].
 
-    Its derivative -224/3 (v - d*/4)^2 (v - d*/7) is >= 0 up to d*/7 and
-    <= 0 after, so the maximum is 11 d*^4/343 at v = d*/7, and the falling
+    Its derivative is -224/3 (v - d*/4)^2 (v - d*/7), as the vanishing of
+    derivative_integral_residual and derivative_factorization_residual
+    shows; that is >= 0 up to d*/7 and <= 0 after, so the maximum is 11 d*^4/343 at v = d*/7, and the falling
     leg ends at the double root v = d*/4 with d*^4/32.  The quartic is
     evaluated at both points in exact rationals, float inputs too, and a
     mismatch with the stated value raises RuntimeError.

@@ -13,6 +13,7 @@ from cayleycover import (
     NotchConfig,
     brute_force_f,
     derivative_factorization_residual,
+    derivative_integral_residual,
     f4_upper_bound,
     in_region_no_notch,
     in_region_notch,
@@ -108,6 +109,7 @@ def test_identity_residuals_vanish():
     for d, v in list(random_rational_pairs(51, 300)) + canonical:
         assert notch_identity_residual(d, v) == 0
         assert derivative_factorization_residual(d, v) == 0
+        assert derivative_integral_residual(d, v) == 0
 
 
 def test_identity_residual_cross_check():

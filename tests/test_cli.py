@@ -172,40 +172,69 @@ def test_notch_optimum_grid_sees_an_excess_far_below_the_maximum(monkeypatch):
 
 
 def test_notch_optimum_grid_estimate_is_the_full_grid_maximum():
-    # each full scan is 10 001 Fraction evaluations (about 0.5 s), so the
-    # random diameters are few, with a tiny and a huge one added
+    # the quartic is homogeneous of degree 4, so the full 10 001-point scan
+    # at d* is exactly d*^4 times the scan at d* = 1, which runs once here
+    unit = [bounds.notch_volume_bound(1, Fraction(i, 40_000)) for i in range(10_001)]
+    top = max(unit)
+    assert unit.index(top) in (40_000 // 7, 40_000 // 7 + 1)
     rng = random.Random(53)
-    drawn = [Fraction(rng.randint(1, 999), rng.randint(1, 99)) for _ in range(8)]
+    drawn = [Fraction(rng.randint(1, 999), rng.randint(1, 99)) for _ in range(50)]
     for d_star in drawn + [Fraction(1, 10**80), Fraction(10**20)]:
-        full = max(
-            bounds.notch_volume_bound(d_star, d_star * i / 40_000) for i in range(10_001)
-        )
         checks = {c.name: c for c in cli.bound_check_battery(d_star, method="quad")}
-        assert checks["notch_optimum_grid"].estimate == float(full)
+        assert checks["notch_optimum_grid"].estimate == float(d_star**4 * top)
         assert checks["notch_optimum_grid"].passed
 
 
+def _plus(term):
+    return lambda exact: lambda d, v: exact(d, v) + term(d, v)
+
+
 @pytest.mark.parametrize(
-    "function, check, term",
+    "function, check, replace",
     [
-        # both terms vanish at v = d*/7 and v = d*/4, where optimize_notch
-        # looks, so only the identity check can see them
+        # the first two terms vanish at v = d*/7 and v = d*/4, where
+        # optimize_notch looks, so only the identity checks can see them
         ("notch_volume_bound", "notch_bound_identity",
-         lambda d, v: d * v * (v - d / 7) * (v - d / 4) / 10**6),
+         _plus(lambda d, v: d * v * (v - d / 7) * (v - d / 4) / 10**6)),
         ("notch_volume_bound_derivative", "derivative_factorization",
-         lambda d, v: v * (v - d / 7) * (v - d / 4) / 10**6),
+         _plus(lambda d, v: v * (v - d / 7) * (v - d / 4) / 10**6)),
+        # optimize_notch rejects this quartic; the battery reports that
+        ("notch_volume_bound", "notch_optimum_grid", lambda exact: lambda d, v: 0),
     ],
 )
 def test_verify_bounds_identity_checks_catch_perturbations(
-    monkeypatch, capsys, function, check, term
+    monkeypatch, capsys, function, check, replace
 ):
-    exact = getattr(bounds, function)
-    monkeypatch.setattr(bounds, function, lambda d, v: exact(d, v) + term(d, v))
+    monkeypatch.setattr(bounds, function, replace(getattr(bounds, function)))
     assert main(["verify-bounds", "--method", "quad", "--d-star", "7/3", "--json"]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
     failed = [c["name"] for c in json.loads(captured.out) if not c["pass"]]
     assert check in failed
+
+
+def test_verify_bounds_sees_a_derivative_that_is_not_the_quartics(monkeypatch, capsys):
+    # moving the notch integral by t and the quartic by -4t keeps the notch
+    # identity; t has roots d*/8, d*/7 (double) and d*/4, so the integral
+    # checks at those v, optimize_notch and the grid points around d*/7
+    # still pass, yet the quartic now exceeds 11 d*^4/343 further out.
+    # Only the Simpson step sees that the stated derivative is not the
+    # quartic's, which the monotonicity argument needs
+    def t(d, v):
+        return 20 * (v - d / 8) * (v - d / 7) ** 2 * (v - d / 4)
+
+    integral, quartic = bounds.notch_integral_value, bounds.notch_volume_bound
+    monkeypatch.setattr(bounds, "notch_integral_value", lambda d, v: integral(d, v) + t(d, v))
+    monkeypatch.setattr(bounds, "notch_volume_bound", lambda d, v: quartic(d, v) - 4 * t(d, v))
+    d_star = Fraction(7, 3)
+    assert max(
+        bounds.notch_volume_bound(d_star, d_star * i / 400) for i in range(101)
+    ) > 11 * d_star**4 / 343
+    assert main(["verify-bounds", "--method", "quad", "--d-star", "7/3", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    failed = [c["name"] for c in json.loads(captured.out) if not c["pass"]]
+    assert failed == ["derivative_factorization"]
 
 
 def test_verify_bounds_mc_failure_sets_exit_code(tmp_path):
