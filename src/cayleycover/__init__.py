@@ -51,7 +51,6 @@ from .errors import (
 from .lattices import (
     IntegerLattice,
     Rational,
-    determinant,
     enumerate_sublattices,
     hnf_normalize,
     lattice_from_json_dict,
@@ -71,17 +70,12 @@ from .search import (
 )
 from .tiles import (
     CayleyTile,
-    Silhouette,
     build_tile,
     enumerate_orthant_prec,
     find_notch,
     fits_diameter,
     is_tiling,
     kernel_backend,
-    m_diameter,
-    m_norm,
-    prec_compare,
-    silhouette,
     tile_from_difference,
 )
 

@@ -57,10 +57,6 @@ class IntegerLattice:
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.basis[i][i] for i in range(self.dim))
 
-    def flat(self) -> tuple[int, ...]:
-        """Row-major flattening, as consumed by the tile scan."""
-        return tuple(v for row in self.basis for v in row)
-
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with x*a + y*b == g == gcd(a, b)."""
@@ -133,22 +129,18 @@ def hnf_normalize(rows: Iterable[Sequence[int]]) -> IntegerLattice:
     return IntegerLattice(n, tuple(tuple(r) for r in pivots))
 
 
-def determinant(lattice: IntegerLattice) -> int:
-    """Number of cosets of the lattice in Z^n."""
-    return lattice.det
-
-
 def reduce_mod(lattice: IntegerLattice, x: Sequence[int]) -> tuple[int, ...]:
     """Canonical representative of ``x + L`` in the fundamental box.
 
     Back-substitutes through the HNF rows from the last coordinate to the
     first, leaving ``0 <= r[i] < diagonal[i]``.  A retraction:
-    ``reduce_mod(L, r) == r`` and ``x - r`` is a lattice vector.
+    ``reduce_mod(L, r) == r`` and ``x - r`` is a lattice vector.  Raises
+    ``TypeError`` when an entry is not an integer.
     """
     n = lattice.dim
     if len(x) != n:
         raise DimensionMismatch(f"expected a vector of length {n}")
-    r = [int(v) for v in x]
+    r = [operator.index(v) for v in x]
     basis = lattice.basis
     for i in range(n - 1, -1, -1):
         q = r[i] // basis[i][i]
@@ -189,10 +181,6 @@ def lattice_points_in_box(
 def same_coset(lattice: IntegerLattice, x: Sequence[int], y: Sequence[int]) -> bool:
     """True iff ``x - y`` is a lattice vector."""
     return reduce_mod(lattice, x) == reduce_mod(lattice, y)
-
-
-def contains_vector(lattice: IntegerLattice, x: Sequence[int]) -> bool:
-    return reduce_mod(lattice, x) == (0,) * lattice.dim
 
 
 def divisors(m: int) -> list[int]:

@@ -7,10 +7,11 @@ complete set of coset representatives, the tile.  Its largest norm equals
 the diameter of the Cayley digraph of the quotient group with the standard
 generators, which is what the covering and search modules consume.
 
-The scan (``_scan``) runs in Python integers, so it has no determinant or
-dimension limit; it builds every tile and is the oracle for the search's
-batched fit test, which counts residues of the radius-d simplex in numpy
-(see ``search``).
+The scan (``_scan``) is one frontier scan in Python integers, with no size
+limit: it grows each shell of the tile from the one before and keeps one
+set of seen coset residues.  It builds every tile and is the oracle for the
+search's batched fit test, which counts residues of the radius-d simplex in
+numpy (see ``search``).
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, MultipleMinimalNotches, NotACovering
+from .errors import MultipleMinimalNotches, NotACovering
 from .lattices import IntegerLattice, lattice_points_in_box, reduce_mod
-
-_DENSE_SEEN_LIMIT = 1 << 22
 
 Point = tuple[int, ...]
 
@@ -35,98 +34,62 @@ def kernel_backend() -> str:
     return "numpy"
 
 
-def _scan(lattice: IntegerLattice, prune: int):
+def _scan(lattice: IntegerLattice, prune: Optional[int]) -> Optional[tuple[Point, ...]]:
     """Graded-lex scan of the nonnegative orthant, one point per coset.
 
-    ``prune`` -1 scans until all ``det`` cosets are represented; otherwise
-    the scan aborts as soon as a shell above ``prune`` starts with cosets
-    still missing.
+    Returns the tile, the first point of every coset in graded-lex order,
+    in that order; with ``prune`` not None, returns None instead as soon
+    as the tile is seen to have a point of norm above ``prune``.
 
-    Returns ``(complete, diameter, points)``.  On completion ``points`` is
-    the full tile in scan order and ``diameter`` its largest norm; on a
-    pruned abort the result is ``(False, -1, ())``.
+    The scan grows the tile one shell of constant norm at a time: the
+    candidates for shell s are the points ``t + e_i`` for t a tile point of
+    shell s - 1 (the origin for shell 0), taken in lexicographic order, and
+    it keeps each candidate whose coset (``reduce_mod`` residue) is new.
+    This is the graded-lex scan of the whole orthant, because
+
+    1. the tile T is downward closed: let q <= p componentwise with q not
+       in T, and let q' be the point of T in q's coset, which precedes q.
+       The order is compatible with addition, so ``q' + (p - q)`` is a
+       point of the orthant in p's coset that precedes p, and p is not in
+       T;
+    2. so every tile point p of shell s >= 1 is a candidate: ``p - e_i``
+       lies in T for any i with p_i > 0.  By induction on s, the cosets
+       seen before shell s are those whose tile point has norm below s.  A
+       candidate of shell s whose coset is new therefore has its coset's
+       tile point in shell s, and the lexicographically first such
+       candidate is that tile point, as all other points of the coset in
+       shell s follow it;
+    3. a shell that adds no point while cosets are missing would leave T
+       with no point of that norm and hence, by 1, none above it, although
+       T has a point in every coset.  It cannot happen for a correct
+       ``reduce_mod`` and raises ``RuntimeError``.
     """
-    diag = lattice.diagonal
-    flat = lattice.flat()
+    n = lattice.dim
     det = lattice.det
-    n = len(diag)
-    strides = [1] * n
-    for i in range(1, n):
-        strides[i] = strides[i - 1] * diag[i - 1]
-    # residues are encoded in mixed radix over the fundamental box
-    dense = det <= _DENSE_SEEN_LIMIT
-    seen = bytearray(det) if dense else set()
-    points = []
-    found = 0
-    diameter = 0
-    s = 0
-    c = [0] * n
-    while True:
-        if prune >= 0 and s > prune:
-            return (False, -1, ())
-        if s > det:
-            raise RuntimeError("scan passed the determinant shell bound")
-        for j in range(n - 1):
-            c[j] = 0
-        c[n - 1] = s
-        while True:
-            r = c.copy()
-            for i in range(n - 1, -1, -1):
-                q = r[i] // diag[i]
-                if q:
-                    base = i * n
-                    for j in range(i + 1):
-                        r[j] -= q * flat[base + j]
-            idx = 0
-            for j in range(n):
-                idx += r[j] * strides[j]
-            if dense:
-                fresh = not seen[idx]
-                if fresh:
-                    seen[idx] = 1
-            else:
-                fresh = idx not in seen
-                if fresh:
-                    seen.add(idx)
-            if fresh:
-                points.append(tuple(c))
-                found += 1
-                diameter = s
-                if found == det:
-                    return (True, diameter, tuple(points))
-            # advance to the next composition of s in lexicographic order
-            p = n - 1
-            while p >= 0 and c[p] == 0:
-                p -= 1
-            if p <= 0:
-                break
-            m = c[p] - 1
-            c[p] = 0
-            c[p - 1] += 1
-            c[n - 1] = m
-        s += 1
-
-
-def m_norm(p: Sequence[int]) -> int:
-    """Manhattan distance from the origin."""
-    return sum(p)
+    seen = set()
+    points: list[Point] = []
+    shell = [(0,) * n]
+    for s in count(0):
+        if prune is not None and s > prune:
+            return None
+        first = len(points)
+        for p in shell:
+            r = reduce_mod(lattice, p)
+            if r not in seen:
+                seen.add(r)
+                points.append(p)
+                if len(points) == det:
+                    return tuple(points)
+        if len(points) == first:
+            raise RuntimeError(f"tile scan found no new coset in shell {s}")
+        shell = sorted(
+            {t[:i] + (t[i] + 1,) + t[i + 1 :] for t in points[first:] for i in range(n)}
+        )
 
 
 def prec_key(p: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Sort key realizing the graded-lex order on the orthant."""
     return (sum(p), tuple(p))
-
-
-def prec_compare(x: Sequence[int], y: Sequence[int]) -> int:
-    """-1, 0 or 1 as x precedes, equals or follows y in the graded order."""
-    if len(x) != len(y):
-        raise DimensionMismatch("points must have equal dimension")
-    kx, ky = prec_key(x), prec_key(y)
-    if kx < ky:
-        return -1
-    if kx > ky:
-        return 1
-    return 0
 
 
 def _compositions(total: int, n: int) -> Iterator[Point]:
@@ -180,22 +143,14 @@ class CayleyTile:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class Silhouette:
-    """Per-axis projections of a tile onto the coordinate hyperplanes."""
-
-    projections: tuple[frozenset[Point], ...]
-
-
 def build_tile(lattice: IntegerLattice) -> CayleyTile:
     """Scan the orthant and keep the first point of each coset.
 
     The result has exactly ``det`` points, is downward closed, and its
     largest norm equals the diameter of the quotient Cayley digraph.
     """
-    complete, diameter, points = _scan(lattice, -1)
-    if not complete:
-        raise RuntimeError("unpruned tile scan stopped before reaching every coset")
+    points = _scan(lattice, None)
+    diameter = sum(points[-1])  # the scan ends on the largest norm
     return CayleyTile(
         dim=lattice.dim, points=points, m_diameter=diameter, source_lattice=lattice
     )
@@ -203,22 +158,7 @@ def build_tile(lattice: IntegerLattice) -> CayleyTile:
 
 def fits_diameter(lattice: IntegerLattice, d: int) -> bool:
     """True iff the tile of the lattice has M-diameter at most d."""
-    complete, _, _ = _scan(lattice, d)
-    return complete
-
-
-def m_diameter(tile: CayleyTile) -> int:
-    return tile.m_diameter
-
-
-def silhouette(tile: CayleyTile) -> Silhouette:
-    """Projections of the tile points with one coordinate dropped to zero."""
-    n = tile.dim
-    projections = []
-    for axis in range(n):
-        proj = frozenset(p[:axis] + (0,) + p[axis + 1 :] for p in tile.points)
-        projections.append(proj)
-    return Silhouette(projections=tuple(projections))
+    return _scan(lattice, d) is not None
 
 
 def find_notch(tile: CayleyTile) -> Optional[Point]:

@@ -2,11 +2,11 @@
 
 Everything here is deliberately independent of the package's own code
 paths: determinants by Laplace expansion, diameters by breadth-first
-search over coset residues, notch candidates by a direct scan of the
-definition, continuous coverings by the grid falsifier that enumerates
-candidate lattice vectors in a box for every grid point, difference-tile
-vectors by reducing every point of the cube.  Tests compare package output
-against these.
+search over coset residues, tiles by the graded-lex walk of the whole
+orthant, notch candidates by a direct scan of the definition, continuous
+coverings by the grid falsifier that enumerates candidate lattice vectors
+in a box for every grid point, difference-tile vectors by reducing every
+point of the cube.  Tests compare package output against these.
 """
 
 import itertools
@@ -18,7 +18,12 @@ from itertools import product
 
 from hypothesis import strategies as st
 
-from cayleycover import DimensionMismatch, IntegerLattice, reduce_mod
+from cayleycover import (
+    DimensionMismatch,
+    IntegerLattice,
+    enumerate_orthant_prec,
+    reduce_mod,
+)
 from cayleycover.lattices import divisors
 
 
@@ -134,6 +139,16 @@ def bfs_quotient_diameter(lattice):
                 queue.append(r)
     assert len(dist) == lattice.det
     return diameter
+
+
+def brute_tile(lattice):
+    """The tile by its definition: walk the orthant in graded-lex order and
+    keep the first point of every coset, in the order met."""
+    first = {}
+    for p in enumerate_orthant_prec(lattice.dim):
+        first.setdefault(reduce_mod(lattice, p), p)
+        if len(first) == lattice.det:
+            return tuple(first.values())
 
 
 def brute_notch_candidates(points, n):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cayleycover import (
     DimensionMismatch,
     SingularBasis,
-    determinant,
     enumerate_sublattices,
     hnf_normalize,
     lattice_from_json_dict,
@@ -72,9 +71,9 @@ def test_hnf_ragged_rows_raise():
 
 
 def test_determinant_examples():
-    assert determinant(hnf_normalize([(1, 0), (0, 1)])) == 1
-    assert determinant(hnf_normalize(L5_ROWS)) == 5
-    assert determinant(hnf_normalize([(2, 0), (0, 2)])) == 4
+    assert hnf_normalize([(1, 0), (0, 1)]).det == 1
+    assert hnf_normalize(L5_ROWS).det == 5
+    assert hnf_normalize([(2, 0), (0, 2)]).det == 4
 
 
 def test_reduce_mod_examples():
@@ -90,6 +89,15 @@ def test_reduce_mod_dimension_mismatch():
     l5 = hnf_normalize(L5_ROWS)
     with pytest.raises(DimensionMismatch):
         reduce_mod(l5, (1, 2, 3))
+
+
+def test_reduce_mod_rejects_non_integers():
+    l5 = hnf_normalize(L5_ROWS)
+    # int() would truncate (2.7, 0.9) to (2, 0), a different coset
+    with pytest.raises(TypeError):
+        reduce_mod(l5, (2.7, 0.9))
+    with pytest.raises(TypeError):
+        reduce_mod(l5, (Fraction(5, 2), 0))
 
 
 def test_reduce_mod_is_retraction():
@@ -167,7 +175,7 @@ def test_enumerate_is_canonical_unique_and_ordered():
         for lat in enumerate_sublattices(n, m):
             assert lat.det == m
             assert hnf_normalize(lat.basis) == lat
-            flats.append(lat.flat())
+            flats.append(tuple(v for row in lat.basis for v in row))
         assert flats == sorted(flats)
         assert len(set(flats)) == len(flats)
 

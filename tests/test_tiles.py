@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cayleycover import (
     CayleyTile,
-    DimensionMismatch,
     MultipleMinimalNotches,
     NotACovering,
     build_tile,
@@ -16,10 +15,7 @@ from cayleycover import (
     fits_diameter,
     hnf_normalize,
     is_tiling,
-    m_diameter,
-    prec_compare,
     reduce_mod,
-    silhouette,
     tile_from_difference,
 )
 from cayleycover import tiles
@@ -29,6 +25,7 @@ from cayleycover.tiles import prec_key
 from conftest import (
     bfs_quotient_diameter,
     brute_notch_candidates,
+    brute_tile,
     cube_positive_lattice_vectors,
     hnfs,
     make_corpus,
@@ -46,19 +43,10 @@ SEQ3 = [
 ]
 
 
-def test_prec_compare_examples():
-    assert prec_compare((0, 1), (1, 0)) == -1
-    assert prec_compare((3, 7), (3, 7)) == 0
-    assert prec_compare((0, 0, 2), (0, 1, 1)) == -1
-    assert prec_compare((1, 0), (0, 1)) == 1
-    with pytest.raises(DimensionMismatch):
-        prec_compare((1, 0), (1, 0, 0))
-
-
 def test_prec_is_total_on_published_sequences():
     for seq in (SEQ2, SEQ3):
         for a, b in zip(seq, seq[1:]):
-            assert prec_compare(a, b) == -1
+            assert prec_key(a) < prec_key(b)
 
 
 def test_prec_compatible_with_addition():
@@ -68,9 +56,10 @@ def test_prec_compatible_with_addition():
         x = tuple(rng.randrange(6) for _ in range(n))
         y = tuple(rng.randrange(6) for _ in range(n))
         z = tuple(rng.randrange(6) for _ in range(n))
-        if prec_compare(x, y) == -1:
-            assert prec_compare(tuple(a + c for a, c in zip(x, z)),
-                                tuple(b + c for b, c in zip(y, z))) == -1
+        if prec_key(x) < prec_key(y):
+            assert prec_key(tuple(a + c for a, c in zip(x, z))) < prec_key(
+                tuple(b + c for b, c in zip(y, z))
+            )
 
 
 def test_enumerate_orthant_first_points():
@@ -94,7 +83,6 @@ def test_build_tile_identity():
     tile = build_tile(I2)
     assert tile.points == ((0, 0),)
     assert tile.m_diameter == 0
-    assert m_diameter(tile) == 0
 
 
 def test_build_tile_staircase():
@@ -110,30 +98,6 @@ def test_build_tile_box():
     tile = build_tile(L22)
     assert tile.points == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert tile.m_diameter == 2
-
-
-def test_silhouette_examples():
-    assert silhouette(build_tile(I2)).projections == (
-        frozenset({(0, 0)}),
-        frozenset({(0, 0)}),
-    )
-    s = silhouette(build_tile(L5))
-    assert s.projections[0] == frozenset({(0, 0), (0, 1), (0, 2)})
-    assert s.projections[1] == frozenset({(0, 0), (1, 0)})
-    s = silhouette(build_tile(L22))
-    assert s.projections[0] == frozenset({(0, 0), (0, 1)})
-    assert s.projections[1] == frozenset({(0, 0), (1, 0)})
-
-
-def test_silhouette_projections_downward_closed():
-    for lat in make_corpus(31, [(2, 40, 15), (3, 30, 15)]):
-        tile = build_tile(lat)
-        for axis, proj in enumerate(silhouette(tile).projections):
-            for p in proj:
-                for j in range(tile.dim):
-                    if p[j] > 0:
-                        q = p[:j] + (p[j] - 1,) + p[j + 1 :]
-                        assert q in proj
 
 
 def test_find_notch_examples():
@@ -208,8 +172,9 @@ def test_tile_from_difference_examples():
 
 
 def test_incomplete_scan_raises(monkeypatch):
-    monkeypatch.setattr(tiles, "_scan", lambda lattice, prune: (False, -1, ()))
-    with pytest.raises(RuntimeError):
+    # every point reduces to the origin's coset, so shell 1 adds nothing
+    monkeypatch.setattr(tiles, "reduce_mod", lambda lattice, x: (0,) * lattice.dim)
+    with pytest.raises(RuntimeError, match="no new coset in shell 1"):
         build_tile(L5)
 
 
@@ -240,6 +205,27 @@ def test_fits_diameter_matches_full_scan():
         assert fits_diameter(lat, diameter)
         if diameter > 0:
             assert not fits_diameter(lat, diameter - 1)
+
+
+def test_fits_diameter_rejects_negative_radius():
+    # the diameter is never negative, not even at det 1 where it is 0
+    for lat in (L5, I2):
+        for d in (-1, -7):
+            assert not fits_diameter(lat, d)
+    assert fits_diameter(I2, 0)
+
+
+# index caps keep the graded-lex walk of the oracle short
+_SCAN_CAPS = {1: 30, 2: 60, 3: 40, 4: 24, 5: 16}
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 5).flatmap(lambda n: hnfs(n, _SCAN_CAPS[n])))
+def test_frontier_scan_matches_graded_lex_definition(lat):
+    tile = build_tile(lat)
+    assert tile.points == brute_tile(lat)
+    for k in range(-1, tile.m_diameter + 2):
+        assert fits_diameter(lat, k) == (k >= tile.m_diameter)
 
 
 def test_tile_properties_over_corpus():
