@@ -11,6 +11,17 @@ also lost, and the resulting quartic bound peaks at v = d*/7 with value
 it rises on [0, d*/7] and falls on [d*/7, d*/4].  Simpson's rule, exact on
 that cubic, ties the stated derivative to the quartic.
 
+The no-notch case is the notch case at v = d*/4, so one integrand and one
+piece table serve both integrals:
+
+- At v = d*/4 the pocket {x_i >= d*/4, d* - sum(x) >= d*/4} forces
+  sum(x) = 3d*/4 with every x_i = d*/4.  It is one point, a null set, so
+  the notch mask equals the no-notch mask off that point.
+- In ``_notch_pieces(d*, d*/4)`` the two pieces on [v, d* - 3v] are empty,
+  and the other four are the no-notch region's pieces.
+- The closed forms agree: the notch integral at v = d*/4 is d*^4/384, the
+  quartic bound there is d*^4/32, and the pocket volume is 0.
+
 This module provides the region membership predicates, Monte-Carlo
 estimates of the integrals, an exact nested quadrature of them, and exact
 rational twins of every closed form.  The polynomial identities are
@@ -108,13 +119,6 @@ def in_region_notch(x: Sequence, config: NotchConfig) -> bool:
     return not in_pocket
 
 
-def _no_notch_values(x: np.ndarray, d: float) -> np.ndarray:
-    s = x.sum(axis=1)
-    mn = x.min(axis=1)
-    mask = (s <= d) & (d - s <= mn)
-    return np.where(mask, d - s, 0.0)
-
-
 def _notch_values(x: np.ndarray, d: float, v: float) -> np.ndarray:
     s = x.sum(axis=1)
     mn = x.min(axis=1)
@@ -172,21 +176,6 @@ def _mc_over_simplex(dim, d_star, values_of, samples, seed):
 Piece = tuple[object, object, Callable, Callable, Callable, Callable]
 
 
-def _no_notch_pieces(d) -> list[Piece]:
-    q = d / 4
-    return [
-        (0, q, lambda u: d - 3 * u, lambda u: d - u,
-         lambda u, w: (d - u - w) / 2, lambda u, w: d - u - w),
-        (q, d, lambda u: (d - u) / 3, lambda u: d - u,
-         lambda u, w: (d - u - w) / 2, lambda u, w: d - u - w),
-        # two symmetric wings, one along each of the first two axes
-        (0, q, lambda u: u, lambda u: d - 3 * u,
-         lambda u, w: d - 2 * u - w, lambda u, w: d - u - w),
-        (0, q, lambda u: u, lambda u: d - 3 * u,
-         lambda u, w: d - 2 * u - w, lambda u, w: d - u - w),
-    ]
-
-
 def _notch_pieces(d, v) -> list[Piece]:
     return [
         (0, v, lambda u: d - 3 * u, lambda u: d - u,
@@ -205,7 +194,10 @@ def _notch_pieces(d, v) -> list[Piece]:
 
 
 def _simpson(f, a, b):
-    """Simpson's rule on [a, b]; exact for polynomials of degree <= 3."""
+    """Simpson's rule on [a, b]; exact for polynomials of degree <= 3.
+    An empty interval is 0, with no call of f."""
+    if a == b:
+        return 0
     return (b - a) * (f(a) + 4 * f((a + b) / 2) + f(b)) / 6
 
 
@@ -240,22 +232,27 @@ def _normalize_method(method: str) -> str:
 # ---------------------------------------------------------------------------
 # integral estimates
 
+def _integral_notch(d_star, v, method, samples, seed) -> IntegralEstimate:
+    """The region integral with the notch at (v, v, v, v), by Monte Carlo
+    or by the exact quadrature; v = d*/4 gives the no-notch region."""
+    kind = _normalize_method(method)
+    if kind == "monte_carlo":
+        d, w = float(d_star), float(v)
+        value, err = _mc_over_simplex(3, d, lambda x: _notch_values(x, d, w), samples, seed)
+        return IntegralEstimate(value, err, samples, kind, seed)
+    d = _exact(d_star)
+    return _exact_estimate(_notch_pieces(d, _exact(v)), d)
+
+
 def integral_no_notch(
     d_star,
     method: str = "monte_carlo",
     samples: int = 1_000_000,
     seed: int = DEFAULT_SEED,
 ) -> IntegralEstimate:
-    """Estimate of the no-notch region integral; closed form d*^4/384."""
-    kind = _normalize_method(method)
-    if kind == "monte_carlo":
-        d = float(d_star)
-        value, err = _mc_over_simplex(
-            3, d, lambda x: _no_notch_values(x, d), samples, seed
-        )
-        return IntegralEstimate(value, err, samples, kind, seed)
-    d = _exact(d_star)
-    return _exact_estimate(_no_notch_pieces(d), d)
+    """Estimate of the no-notch region integral, closed form d*^4/384: the
+    notch-case integral at v = d*/4."""
+    return _integral_notch(d_star, _exact(d_star) / 4, method, samples, seed)
 
 
 def integral_notch(
@@ -268,16 +265,7 @@ def integral_notch(
 
     Closed form 2v^4 - (4 d*/3) v^3 + (d*^2/4) v^2.
     """
-    kind = _normalize_method(method)
-    if kind == "monte_carlo":
-        d = float(config.d_star)
-        v = float(config.v)
-        value, err = _mc_over_simplex(
-            3, d, lambda x: _notch_values(x, d, v), samples, seed
-        )
-        return IntegralEstimate(value, err, samples, kind, seed)
-    d = _exact(config.d_star)
-    return _exact_estimate(_notch_pieces(d, _exact(config.v)), d)
+    return _integral_notch(config.d_star, config.v, method, samples, seed)
 
 
 def notch_region_volume_estimate(
@@ -391,10 +379,9 @@ def optimize_notch(d_star) -> NotchOptimum:
 def tile_volume_bound_dim4(d: int) -> Fraction:
     """Largest admissible tile volume at diameter d+4: 11(d+4)^4/343.
 
-    The notch-case maximum dominates the no-notch bound (11/343 > 1/32), so
-    the overall bound is the notch maximum.
+    The no-notch bound d*^4/32 is the quartic at v = d*/4, the end of its
+    falling leg, so the overall bound is the quartic's maximum.
     """
     if d < 0:
         raise ValueError("need d >= 0")
-    d_star = Fraction(d + 4)
-    return max(no_notch_volume_bound(d_star), optimize_notch(d_star).max_value)
+    return optimize_notch(Fraction(d + 4)).max_value

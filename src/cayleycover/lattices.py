@@ -229,9 +229,11 @@ def count_sublattices(n: int, index: int) -> int:
     """
     if n < 1 or index < 1:
         raise ValueError("need n >= 1 and index >= 1")
-    if n == 1:
-        return 1
-    return sum(e ** (n - 1) * count_sublattices(n - 1, index // e) for e in divisors(index))
+    divs = {x: divisors(x) for x in divisors(index)}
+    counts = dict.fromkeys(divs, 1)
+    for k in range(1, n):
+        counts = {x: sum(e**k * counts[x // e] for e in ds) for x, ds in divs.items()}
+    return counts[index]
 
 
 def lattice_to_json_dict(lattice: IntegerLattice) -> dict:

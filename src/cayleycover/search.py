@@ -15,8 +15,8 @@ witness:
 - The HNFs of index m fall into one block per diagonal (d0, ..., d_{n-1})
   with product m.  A block's rows are its sub-diagonal entries, taken in
   row-major order (1,0), (2,0), (2,1), (3,0), ..., entry (i, j) ranging
-  over [0, d_j); row k is ``np.unravel_index(k, shape)``.  Rows are made
-  in chunks of at most ``_CHUNK_CELLS`` rows x max(simplex points, m)
+  over [0, d_j), so row k holds the mixed-radix digits of k.  Rows are
+  made in chunks of at most ``_CHUNK_CELLS`` rows x max(simplex points, m)
   cells, so a block is never held whole.
 - ``_fit_rows`` reduces the simplex through every row of a chunk at once,
   the diagonal a constant and the entries array columns, and a row fits
@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -126,15 +126,13 @@ def _int64_safe(diag: Sequence[int], d: int) -> bool:
     return max(max(bound) * max(diag), math.prod(diag)) <= _INT64_MAX
 
 
-def _diagonals(n: int, m: int) -> Iterator[tuple[int, ...]]:
+def _diagonals(n: int, m: int) -> list[tuple[int, ...]]:
     """HNF diagonals of index m: ordered factorizations of m into n
     factors, in lexicographic order."""
-    if n == 1:
-        yield (m,)
-        return
-    for a in divisors(m):
-        for rest in _diagonals(n - 1, m // a):
-            yield (a,) + rest
+    heads = [((), m)]  # leading factors, in lex order, and what they leave
+    for _ in range(n - 1):
+        heads = [(head + (a,), rest // a) for head, rest in heads for a in divisors(rest)]
+    return [head + (rest,) for head, rest in heads]
 
 
 def _cell_shape(diag: Sequence[int]) -> tuple[int, ...]:
@@ -145,11 +143,14 @@ def _cell_shape(diag: Sequence[int]) -> tuple[int, ...]:
 
 def _block_rows(diag: Sequence[int], lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi-1 of the diagonal's block, one column per sub-diagonal
-    entry."""
+    entry: row k holds the mixed-radix digits of k, the last cell the
+    least significant."""
     shape = _cell_shape(diag)
-    if not shape:
-        return np.zeros((hi - lo, 0), dtype=np.int64)
-    return np.stack(np.unravel_index(np.arange(lo, hi), shape), axis=1)
+    rows = np.empty((hi - lo, len(shape)), dtype=np.int64)
+    k = np.arange(lo, hi, dtype=np.int64)
+    for c in range(len(shape) - 1, -1, -1):
+        k, rows[:, c] = np.divmod(k, shape[c])
+    return rows
 
 
 def _basis(diag: Sequence[int], cells: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -234,7 +235,7 @@ def _scan_index(n: int, d: int, m: int, simplex: np.ndarray):
     order of ``enumerate_sublattices``, up to and including the fit, or
     over all lattices of the index when none fits.
     """
-    diags = list(_diagonals(n, m))
+    diags = _diagonals(n, m)
     sizes = [math.prod(_cell_shape(diag)) for diag in diags]
     if sum(sizes) != count_sublattices(n, m):
         raise RuntimeError(

@@ -254,12 +254,8 @@ def tile_from_difference(lattice: IntegerLattice, d: int) -> frozenset[Point]:
         for v in lattice_points_in_box(lattice, (-d,) * n, (d,) * n)
         if _graded_positive(v)
     }
-    minimal: list[Point] = []
-    for v in sorted(clamped, key=prec_key):  # cones nest, keep the minimal ones
-        if not any(all(mj <= vj for mj, vj in zip(m, v)) for m in minimal):
-            minimal.append(v)
     covered = np.zeros((d + 1,) * n, dtype=bool)
-    for v in minimal:
+    for v in clamped:
         covered[tuple(slice(x, None) for x in v)] = True
     pts = []
     for p in enumerate_orthant_prec(n):

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +61,18 @@ def test_notch_region_examples():
     # v = 0 removes the entire region
     assert not in_region_notch((0.25, 0.25, 0.25), cfg0)
     assert not in_region_notch((1.0, 0.0, 0.0), cfg0)
+
+
+def test_mc_integrand_matches_region_predicate():
+    # the vectorised integrand against the scalar predicate, v = d*/4 (the
+    # no-notch region) included; the point (d*/4,)*3 is the pocket there
+    rng = np.random.default_rng(11)
+    for d in (1.0, 2.5, Fraction(7, 3), Fraction(1, 3)):
+        x = np.vstack([rng.random((4000, 3)) * float(d), np.full((1, 3), float(d) / 4)])
+        for v in (0, d / 8, d / 7, d / 4):
+            cfg = NotchConfig(d, v)
+            expected = [float(d) - sum(p) if in_region_notch(p, cfg) else 0.0 for p in x.tolist()]
+            assert bounds._notch_values(x, float(d), float(v)).tolist() == expected
 
 
 def test_notch_config_validation():

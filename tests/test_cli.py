@@ -110,6 +110,13 @@ def test_cover_continuous(lattice_file, box_lattice_file, capsys, monkeypatch):
     assert record["covered"] is False
 
 
+def test_search_commands_past_64_sub_diagonal_cells(capsys):
+    assert main(["search-f", "--n", "12", "--d", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["f"] == 1
+    assert main(["density-table", "--n", "12", "--d-range", "0..0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("0,1,1,")
+
+
 def test_density_table_csv(tmp_path):
     out = tmp_path / "table.csv"
     code = main(
@@ -247,6 +254,20 @@ def test_verify_bounds_mc_failure_sets_exit_code(tmp_path):
     assert code == 1
     checks = json.loads(out.read_text())
     assert any(not c["pass"] for c in checks)
+
+
+def test_mc_gate_cushion_is_float_rounding_only(capsys):
+    # at v = 0 the pocket estimate has std error 0 and is d*^4/24 in floats,
+    # an ulp or two off the rounded closed form
+    for d_star in ("11/3", "1e-80"):
+        argv = ["verify-bounds", "--v", "0", "--d-star", d_star, "--samples", "200000"]
+        assert main(argv) == 0, d_star
+    capsys.readouterr()
+    # a relative error of 1e-12 is not rounding at any scale
+    for d_star in (Fraction(1, 10**6), Fraction(11, 3), Fraction(10**6)):
+        closed = bounds.notch_region_volume(bounds.NotchConfig(d_star, 0))
+        estimate = bounds.IntegralEstimate(float(closed) * (1 + 1e-12), 0.0, 1, "monte_carlo", 0)
+        assert not cli._mc_check("pocket", estimate, closed).passed, d_star
 
 
 def test_usage_error_exits_2(tmp_path, lattice_file, capsys):

@@ -163,6 +163,8 @@ def test_count_sublattices_matches_enumeration():
     for p in (2, 3, 5, 7, 11, 13):
         for n in range(1, 7):
             assert count_sublattices(n, p) == (p**n - 1) // (p - 1)
+    # far past the recursion limit: one dimension at a time
+    assert count_sublattices(1500, 2) == 2**1500 - 1
     with pytest.raises(ValueError):
         count_sublattices(0, 1)
     with pytest.raises(ValueError):

@@ -116,6 +116,19 @@ def test_user_cap_marks_non_exhaustive():
     assert roomy.exhaustive
 
 
+def test_search_beyond_64_sub_diagonal_cells():
+    # n >= 12 has n(n-1)/2 > 64 sub-diagonal cells, more axes than an ndarray
+    for n, d, cap, f_value in [(12, 1, 3, 3), (20, 2, 2, 2)]:
+        report = brute_force_f(n, d, index_cap=cap)
+        assert report.f_value == f_value
+        tile = build_tile(report.witness)
+        assert len(tile.points) == f_value and tile.m_diameter <= d
+
+
+def test_diagonals_do_not_recurse_per_dimension():
+    assert list(search_mod._diagonals(1500, 1)) == [(1,) * 1500]
+
+
 def test_cap_too_small_raises():
     with pytest.raises(CapTooSmall):
         brute_force_f(2, 2, index_cap=0)
