@@ -27,7 +27,9 @@ estimates of the integrals, an exact nested quadrature of them, and exact
 rational twins of every closed form.  The polynomial identities are
 homogeneous in (d*, v), so a few exact ratios v/d* decide them with no
 floating error and no sampling.  Monte-Carlo streams are keyed by
-(seed, chunk), so estimates are reproducible.
+(seed, chunk), for a seed in [0, 2^64), so estimates are reproducible.  The
+battery draws one 3-D sample set for every region integral and one 4-D set
+for every pocket, and each of its estimates equals the public estimator's.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -119,53 +122,76 @@ def in_region_notch(x: Sequence, config: NotchConfig) -> bool:
     return not in_pocket
 
 
-def _notch_values(x: np.ndarray, d: float, v: float) -> np.ndarray:
-    s = x.sum(axis=1)
-    mn = x.min(axis=1)
-    mask = (s <= d) & (d - s <= mn) & ~((mn >= v) & (d - s >= v))
-    return np.where(mask, d - s, 0.0)
+def _notch_values(d: float, v: float, s: np.ndarray, mn: np.ndarray) -> np.ndarray:
+    """d* - sum(x) on the notch region and 0 off it, from sums and minima."""
+    rest = d - s
+    mask = (s <= d) & (rest <= mn) & ~((mn >= v) & (rest >= v))
+    return np.where(mask, rest, 0.0)
+
+
+def _pocket_values(v: float, s: np.ndarray, mn: np.ndarray) -> np.ndarray:
+    return (mn >= v).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
 def _philox(seed: int, chunk: int) -> np.random.Generator:
-    key = ((seed & 0xFFFFFFFFFFFFFFFF) << 64) | chunk
-    return np.random.Generator(np.random.Philox(key=key))
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | chunk))
 
 
-def _mc_over_simplex(dim, d_star, values_of, samples, seed):
-    """Mean of an integrand over the solid simplex {x >= 0, sum <= d*}.
+def _mc_over_simplex(dim, d_star, integrands, samples, seed) -> list[IntegralEstimate]:
+    """Means of integrands over the solid simplex {x >= 0, sum <= d*}, one
+    estimate per integrand, all from one sample set.
 
-    Samples via sorted-uniform spacings (uniform on the simplex), evaluates
-    ``values_of`` per chunk, and scales by the simplex volume.  Each chunk
-    draws from its own stream keyed by (seed, chunk), and chunk sums are
-    combined with exact float summation.
+    Samples via sorted-uniform spacings (uniform on the simplex).  Each
+    chunk draws from its own stream keyed by (seed, chunk), once; a network
+    of compare-exchanges sorts the rows column by column, to the same rows
+    as ``np.sort``, and every integrand maps the points' coordinate sums
+    and minima to its values.  Per integrand, chunk sums are combined with
+    exact float summation and scaled by the simplex volume.
     """
     if samples < 1:
         raise BadSampleCount(f"need at least one sample, got {samples}")
     d = float(d_star)
     volume = d**dim / math.factorial(dim)
-    sums = []
-    sums_sq = []
-    done = 0
-    chunk = 0
-    while done < samples:
-        m = min(_MC_CHUNK, samples - done)
-        rng = _philox(seed, chunk)
-        u = rng.random((m, dim))
-        u.sort(axis=1)
-        x = np.diff(u, axis=1, prepend=0.0) * d
-        vals = values_of(x)
-        sums.append(float(vals.sum()))
-        sums_sq.append(float(np.square(vals).sum()))
-        done += m
-        chunk += 1
-    mean = math.fsum(sums) / samples
-    var = max(0.0, math.fsum(sums_sq) / samples - mean * mean)
-    if samples > 1:
-        var *= samples / (samples - 1)
-    return volume * mean, volume * math.sqrt(var / samples)
+    parts = []  # per chunk, per integrand: the sum of values and of squares
+    for chunk, done in enumerate(range(0, samples, _MC_CHUNK)):
+        u = list(_philox(seed, chunk).random((min(_MC_CHUNK, samples - done), dim)).T)
+        for i in range(1, dim):  # insertion sort, as a network
+            for j in range(i, 0, -1):
+                u[j - 1], u[j] = np.minimum(u[j - 1], u[j]), np.maximum(u[j - 1], u[j])
+        x = [u[0] * d] + [(u[j] - u[j - 1]) * d for j in range(1, dim)]
+        s, mn = reduce(np.add, x), reduce(np.minimum, x)
+        values = [values_of(s, mn) for values_of in integrands]
+        parts.append([(float(v.sum()), float(np.square(v).sum())) for v in values])
+    estimates = []
+    for per_chunk in zip(*parts):
+        total, total_sq = zip(*per_chunk)
+        mean = math.fsum(total) / samples
+        var = max(0.0, math.fsum(total_sq) / samples - mean * mean)
+        if samples > 1:
+            var *= samples / (samples - 1)
+        err = volume * math.sqrt(var / samples)
+        estimates.append(IntegralEstimate(volume * mean, err, samples, "monte_carlo", seed))
+    return estimates
+
+
+def _mc_battery(d_star, vs, samples, seed) -> list[IntegralEstimate]:
+    """The battery's Monte-Carlo estimates in its order: the no-notch
+    integral, then per v the notch integral and the pocket volume, from one
+    3-D and one 4-D sample set.  Equal floats v share a region integrand, so
+    the no-notch one is the notch one at v = d*/4.  Each estimate equals its
+    public estimator's at the same samples and seed."""
+    d, no_notch = float(d_star), float(_exact(d_star) / 4)
+    ws = [float(NotchConfig(d_star, v).v) for v in vs]
+    keys = list(dict.fromkeys([no_notch] + ws))
+    integrands = [partial(_notch_values, d, w) for w in keys]
+    region = dict(zip(keys, _mc_over_simplex(3, d, integrands, samples, seed)))
+    pockets = _mc_over_simplex(4, d, [partial(_pocket_values, w) for w in ws], samples, seed)
+    return [region[no_notch]] + [e for w, pocket in zip(ws, pockets) for e in (region[w], pocket)]
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +263,8 @@ def _integral_notch(d_star, v, method, samples, seed) -> IntegralEstimate:
     or by the exact quadrature; v = d*/4 gives the no-notch region."""
     kind = _normalize_method(method)
     if kind == "monte_carlo":
-        d, w = float(d_star), float(v)
-        value, err = _mc_over_simplex(3, d, lambda x: _notch_values(x, d, w), samples, seed)
-        return IntegralEstimate(value, err, samples, kind, seed)
+        d = float(d_star)
+        return _mc_over_simplex(3, d, [partial(_notch_values, d, float(v))], samples, seed)[0]
     d = _exact(d_star)
     return _exact_estimate(_notch_pieces(d, _exact(v)), d)
 
@@ -274,14 +299,8 @@ def notch_region_volume_estimate(
     seed: int = DEFAULT_SEED,
 ) -> IntegralEstimate:
     """Monte-Carlo volume of the pocket {p in simplex : p >= (v, v, v, v)}."""
-    d = float(config.d_star)
-    v = float(config.v)
-
-    def values(x: np.ndarray) -> np.ndarray:
-        return (x.min(axis=1) >= v).astype(np.float64)
-
-    value, err = _mc_over_simplex(4, d, values, samples, seed)
-    return IntegralEstimate(value, err, samples, "monte_carlo", seed)
+    integrand = partial(_pocket_values, float(config.v))
+    return _mc_over_simplex(4, config.d_star, [integrand], samples, seed)[0]
 
 
 # ---------------------------------------------------------------------------

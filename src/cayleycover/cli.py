@@ -305,26 +305,27 @@ def bound_check_battery(
     if vs is None:
         vs = [d_star / 8, d_star / 7, d_star / 4]
 
-    def check(name, est, closed):
+    if method == "mc":
+        estimates = iter(bounds._mc_battery(d_star, vs, samples, seed))
+    else:
+        estimates = iter(
+            [bounds.integral_no_notch(d_star, method)]
+            + [bounds.integral_notch(bounds.NotchConfig(d_star, v), method) for v in vs]
+        )
+
+    def check(name, closed):
+        est = next(estimates)
         if method == "mc":
             return _mc_check(name, est, closed)
         return _exact_check(name, est.value, closed)
 
-    est = bounds.integral_no_notch(d_star, method, samples=samples, seed=seed)
-    checks = [
-        check(f"integral_no_notch[{method}]", est, bounds.no_notch_integral_value(d_star))
-    ]
+    checks = [check(f"integral_no_notch[{method}]", bounds.no_notch_integral_value(d_star))]
     for v in vs:
         cfg = bounds.NotchConfig(d_star, v)
-        est = bounds.integral_notch(cfg, method, samples=samples, seed=seed)
-        checks.append(
-            check(f"integral_notch[{method}] v={v}", est, bounds.notch_integral_value(d_star, v))
-        )
+        closed = bounds.notch_integral_value(d_star, v)
+        checks.append(check(f"integral_notch[{method}] v={v}", closed))
         if method == "mc":
-            est = bounds.notch_region_volume_estimate(cfg, samples=samples, seed=seed)
-            checks.append(
-                _mc_check(f"notch_region_volume[mc] v={v}", est, bounds.notch_region_volume(cfg))
-            )
+            checks.append(check(f"notch_region_volume[mc] v={v}", bounds.notch_region_volume(cfg)))
 
     no_notch = bounds.no_notch_volume_bound(d_star)
     checks.append(_exact_check("no_notch_volume_identity", no_notch, d_star**4 / Fraction(32)))
@@ -378,6 +379,8 @@ def _cmd_verify_bounds(args) -> int:
         raise UsageError(f"--samples must be a positive integer, got {args.samples}")
     if args.nodes < 1:
         raise UsageError(f"--nodes must be a positive integer, got {args.nodes}")
+    if not 0 <= args.seed < 1 << 64:
+        raise UsageError(f"--seed must lie in [0, 2^64), got {args.seed}")
     try:
         bounds.NotchConfig(args.d_star, args.v if args.v is not None else 0)
     except ValueError as exc:

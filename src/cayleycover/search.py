@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -128,11 +128,14 @@ def _int64_safe(diag: Sequence[int], d: int) -> bool:
 
 def _diagonals(n: int, m: int) -> list[tuple[int, ...]]:
     """HNF diagonals of index m: ordered factorizations of m into n
-    factors, in lexicographic order."""
-    heads = [((), m)]  # leading factors, in lex order, and what they leave
-    for _ in range(n - 1):
+    factors, in lexicographic order.  A head of leading factors that leaves
+    1 is padded with 1s at once, so each diagonal costs about its length."""
+    diags, heads = [], [((), m)]
+    for k in range(1, n):
         heads = [(head + (a,), rest // a) for head, rest in heads for a in divisors(rest)]
-    return [head + (rest,) for head, rest in heads]
+        diags += [head + (1,) * (n - k) for head, rest in heads if rest == 1]
+        heads = [(head, rest) for head, rest in heads if rest > 1]
+    return sorted(diags + [head + (rest,) for head, rest in heads])
 
 
 def _cell_shape(diag: Sequence[int]) -> tuple[int, ...]:
@@ -245,11 +248,11 @@ def _scan_index(n: int, d: int, m: int, simplex: np.ndarray):
     best = None
     for diag, size in zip(diags, sizes):
         # only rows below the best so far are scanned, so a fit replaces it
-        limit = size if best is None else _rank(diag, sum(best, ()))
+        limit = size if best is None else _rank(diag, tuple(chain.from_iterable(best)))
         best = _least_fit(diag, d, simplex, limit) or best
     if best is None:
         return sum(sizes), None
-    flat = sum(best, ())
+    flat = tuple(chain.from_iterable(best))
     return 1 + sum(_rank(diag, flat) for diag in diags), IntegerLattice(n, best)
 
 

@@ -64,15 +64,90 @@ def test_notch_region_examples():
 
 
 def test_mc_integrand_matches_region_predicate():
-    # the vectorised integrand against the scalar predicate, v = d*/4 (the
-    # no-notch region) included; the point (d*/4,)*3 is the pocket there
+    # the vectorised integrand, from each point's sum and minimum, against
+    # the scalar predicate, v = d*/4 (the no-notch region) included; the
+    # point (d*/4,)*3 is the pocket there
     rng = np.random.default_rng(11)
     for d in (1.0, 2.5, Fraction(7, 3), Fraction(1, 3)):
         x = np.vstack([rng.random((4000, 3)) * float(d), np.full((1, 3), float(d) / 4)])
+        s, mn = x.sum(axis=1), x.min(axis=1)
         for v in (0, d / 8, d / 7, d / 4):
             cfg = NotchConfig(d, v)
             expected = [float(d) - sum(p) if in_region_notch(p, cfg) else 0.0 for p in x.tolist()]
-            assert bounds._notch_values(x, float(d), float(v)).tolist() == expected
+            assert bounds._notch_values(float(d), float(v), s, mn).tolist() == expected
+
+
+def _sorted_spacings_estimate(dim, d, values_of, samples, seed):
+    """Reference Monte-Carlo estimate: each chunk's uniforms sorted by
+    ``np.sort``, spacings by ``np.diff``, and the integrand applied to the
+    whole points, one integrand per pass."""
+    sums, sums_sq = [], []
+    for chunk, done in enumerate(range(0, samples, 1 << 16)):
+        u = bounds._philox(seed, chunk).random((min(1 << 16, samples - done), dim))
+        u.sort(axis=1)
+        vals = values_of(np.diff(u, axis=1, prepend=0.0) * d)
+        sums.append(float(vals.sum()))
+        sums_sq.append(float(np.square(vals).sum()))
+    volume = d**dim / math.factorial(dim)
+    mean = math.fsum(sums) / samples
+    var = max(0.0, math.fsum(sums_sq) / samples - mean * mean)
+    if samples > 1:
+        var *= samples / (samples - 1)
+    return volume * mean, volume * math.sqrt(var / samples)
+
+
+def test_mc_loop_matches_sorted_spacings_reference():
+    # the sorting network and the sums and minima taken column by column
+    # give the same bits as whole-row np.sort, np.diff, sum and min
+    for d, samples, seed in ((1.0, 1, 0), (2.5, 65_537, 3), (7 / 3, 70_000, 2**64 - 1)):
+        for v in (0.0, d / 8, d / 4):
+            cfg = NotchConfig(d, v)
+            est = integral_notch(cfg, samples=samples, seed=seed)
+            expected = _sorted_spacings_estimate(
+                3, d, lambda x: bounds._notch_values(d, v, x.sum(axis=1), x.min(axis=1)),
+                samples, seed,
+            )
+            assert (est.value, est.std_error) == expected
+            est = notch_region_volume_estimate(cfg, samples=samples, seed=seed)
+            expected = _sorted_spacings_estimate(
+                4, d, lambda x: (x.min(axis=1) >= v).astype(np.float64), samples, seed
+            )
+            assert (est.value, est.std_error) == expected
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    st.one_of(
+        st.sampled_from([Fraction("1e-80"), Fraction(7, 3), Fraction(11)]),
+        st.fractions(min_value=Fraction(1, 1000), max_value=1000),
+    ),
+    st.one_of(
+        st.none(),
+        st.sampled_from([Fraction(0), Fraction(1, 4)]),
+        st.fractions(min_value=0, max_value=Fraction(1, 4)),
+    ),
+    st.sampled_from([1, 65_535, 65_536, 65_537, 200_000]),
+    st.integers(0, 2**64 - 1),
+)
+def test_mc_battery_matches_public_estimators(d, share, samples, seed):
+    # vs as verify-bounds makes it: the default three, or one --v
+    vs = [d / 8, d / 7, d / 4] if share is None else [d * share]
+    expected = [integral_no_notch(d, samples=samples, seed=seed)]
+    for v in vs:
+        cfg = NotchConfig(d, v)
+        expected.append(integral_notch(cfg, samples=samples, seed=seed))
+        expected.append(notch_region_volume_estimate(cfg, samples=samples, seed=seed))
+    assert bounds._mc_battery(d, vs, samples, seed) == expected
+
+
+def test_seed_outside_64_bits_raises():
+    # the stream key holds 64 bits of seed: 2^64 + 1729 would alias 1729
+    for seed in (-1, 2**64, 2**64 + 1729):
+        with pytest.raises(ValueError):
+            bounds._philox(seed, 0)
+        with pytest.raises(ValueError):
+            integral_no_notch(1.0, samples=10, seed=seed)
+    assert integral_no_notch(1.0, samples=10, seed=2**64 - 1).samples == 10
 
 
 def test_notch_config_validation():

@@ -311,6 +311,10 @@ def test_usage_error_exits_2(tmp_path, lattice_file, capsys):
         ["verify-bounds", "--method", "quad", "--nodes", "0"],
         ["verify-bounds", "--d-star", "0"],
         ["verify-bounds", "--d-star", "1", "--v", "1/2"],
+        # a seed outside 64 bits would alias one inside: 2^64 + 1729 and 1729
+        ["verify-bounds", "--seed", "-1"],
+        ["verify-bounds", "--seed", str(2**64)],
+        ["verify-bounds", "--method", "quad", "--seed", str(2**64 + 1729)],
         ["theta-bounds", "--d", "-1"],
         ["search-f", "--n", "2", "--d", "2", "--threads", "0"],
         ["search-f", "--n", "2", "--d", "2", "--threads", "-4"],

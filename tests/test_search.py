@@ -129,6 +129,11 @@ def test_diagonals_do_not_recurse_per_dimension():
     assert list(search_mod._diagonals(1500, 1)) == [(1,) * 1500]
 
 
+def test_diagonals_of_a_prime_index_in_high_dimension():
+    expected = [tuple(2 if j == i else 1 for j in range(1500)) for i in reversed(range(1500))]
+    assert search_mod._diagonals(1500, 2) == expected
+
+
 def test_cap_too_small_raises():
     with pytest.raises(CapTooSmall):
         brute_force_f(2, 2, index_cap=0)
