@@ -23,13 +23,16 @@ piece table serve both integrals:
   quartic bound there is d*^4/32, and the pocket volume is 0.
 
 This module provides the region membership predicates, Monte-Carlo
-estimates of the integrals, an exact nested quadrature of them, and exact
-rational twins of every closed form.  The polynomial identities are
-homogeneous in (d*, v), so a few exact ratios v/d* decide them with no
-floating error and no sampling.  Monte-Carlo streams are keyed by
-(seed, chunk), for a seed in [0, 2^64), so estimates are reproducible.  The
-battery draws one 3-D sample set for every region integral and one 4-D set
-for every pocket, and each of its estimates equals the public estimator's.
+estimates of the integrals, an exact nested quadrature of them, exact
+rational twins of every closed form, and the verification battery
+``bound_check_battery`` that checks them against each other.  The
+polynomial identities are homogeneous in (d*, v), so a few exact ratios
+v/d* decide them with no floating error and no sampling.  Monte-Carlo
+streams are keyed by (seed, chunk), for a seed in [0, 2^64), so estimates
+are reproducible.  Every region integral, the battery's and the public
+estimators', comes from ``_region_estimates``: by Monte Carlo it draws one
+3-D sample set for all its notches, and the battery adds one 4-D set for
+every pocket, so each battery estimate equals the public estimator's.
 """
 
 from __future__ import annotations
@@ -45,10 +48,6 @@ import numpy as np
 from .errors import BadSampleCount, DimensionMismatch
 
 DEFAULT_SEED = 1729
-
-# pass gates used by the verification battery
-MC_SIGMA_GATE = 3.0
-MC_REL_TOL = 1e-2
 
 _MC_CHUNK = 1 << 16
 
@@ -179,21 +178,6 @@ def _mc_over_simplex(dim, d_star, integrands, samples, seed) -> list[IntegralEst
     return estimates
 
 
-def _mc_battery(d_star, vs, samples, seed) -> list[IntegralEstimate]:
-    """The battery's Monte-Carlo estimates in its order: the no-notch
-    integral, then per v the notch integral and the pocket volume, from one
-    3-D and one 4-D sample set.  Equal floats v share a region integrand, so
-    the no-notch one is the notch one at v = d*/4.  Each estimate equals its
-    public estimator's at the same samples and seed."""
-    d, no_notch = float(d_star), float(_exact(d_star) / 4)
-    ws = [float(NotchConfig(d_star, v).v) for v in vs]
-    keys = list(dict.fromkeys([no_notch] + ws))
-    integrands = [partial(_notch_values, d, w) for w in keys]
-    region = dict(zip(keys, _mc_over_simplex(3, d, integrands, samples, seed)))
-    pockets = _mc_over_simplex(4, d, [partial(_pocket_values, w) for w in ws], samples, seed)
-    return [region[no_notch]] + [e for w, pocket in zip(ws, pockets) for e in (region[w], pocket)]
-
-
 # ---------------------------------------------------------------------------
 # exact nested quadrature over the explicit iterated limits
 
@@ -258,15 +242,19 @@ def _normalize_method(method: str) -> str:
 # ---------------------------------------------------------------------------
 # integral estimates
 
-def _integral_notch(d_star, v, method, samples, seed) -> IntegralEstimate:
-    """The region integral with the notch at (v, v, v, v), by Monte Carlo
-    or by the exact quadrature; v = d*/4 gives the no-notch region."""
-    kind = _normalize_method(method)
-    if kind == "monte_carlo":
+def _region_estimates(d_star, ws, method, samples, seed) -> list[IntegralEstimate]:
+    """The region integral with the notch at (w, w, w, w), one estimate per
+    w in ws, by Monte Carlo or by the exact quadrature; w = d*/4 gives the
+    no-notch region.  Monte Carlo makes one 3-D pass for all of ws, in which
+    equal floats w share one integrand."""
+    if _normalize_method(method) == "monte_carlo":
         d = float(d_star)
-        return _mc_over_simplex(3, d, [partial(_notch_values, d, float(v))], samples, seed)[0]
+        keys = list(dict.fromkeys(float(w) for w in ws))
+        integrands = [partial(_notch_values, d, w) for w in keys]
+        by_w = dict(zip(keys, _mc_over_simplex(3, d, integrands, samples, seed)))
+        return [by_w[float(w)] for w in ws]
     d = _exact(d_star)
-    return _exact_estimate(_notch_pieces(d, _exact(v)), d)
+    return [_exact_estimate(_notch_pieces(d, _exact(w)), d) for w in ws]
 
 
 def integral_no_notch(
@@ -277,7 +265,7 @@ def integral_no_notch(
 ) -> IntegralEstimate:
     """Estimate of the no-notch region integral, closed form d*^4/384: the
     notch-case integral at v = d*/4."""
-    return _integral_notch(d_star, _exact(d_star) / 4, method, samples, seed)
+    return _region_estimates(d_star, [_exact(d_star) / 4], method, samples, seed)[0]
 
 
 def integral_notch(
@@ -290,7 +278,7 @@ def integral_notch(
 
     Closed form 2v^4 - (4 d*/3) v^3 + (d*^2/4) v^2.
     """
-    return _integral_notch(config.d_star, config.v, method, samples, seed)
+    return _region_estimates(config.d_star, [config.v], method, samples, seed)[0]
 
 
 def notch_region_volume_estimate(
@@ -404,3 +392,150 @@ def tile_volume_bound_dim4(d: int) -> Fraction:
     if d < 0:
         raise ValueError("need d >= 0")
     return optimize_notch(Fraction(d + 4)).max_value
+
+
+# ---------------------------------------------------------------------------
+# the verification battery
+
+# pass gates of the Monte-Carlo checks
+MC_SIGMA_GATE = 3.0
+MC_REL_TOL = 1e-2
+
+
+@dataclass(frozen=True)
+class BoundCheck:
+    name: str
+    estimate: float
+    closed_form: float
+    abs_err: float
+    rel_err: float
+    std_err: float
+    passed: bool
+
+    def as_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "estimate": self.estimate,
+            "closed_form": self.closed_form,
+            "abs_err": self.abs_err,
+            "rel_err": self.rel_err,
+            "std_err": self.std_err,
+            "pass": self.passed,
+        }
+
+
+def _relative(abs_err: float, closed: float) -> float:
+    if closed == 0.0:
+        return 0.0 if abs_err == 0.0 else float("inf")
+    return abs_err / abs(closed)
+
+
+def _mc_check(name, estimate, closed) -> BoundCheck:
+    closed_f = float(closed)
+    abs_err = abs(estimate.value - closed_f)
+    rel_err = _relative(abs_err, closed_f)
+    # float rounding of the closed form: at most 4 ulp over 10^5 random d*, so 8
+    passed = abs_err <= MC_SIGMA_GATE * estimate.std_error + 8 * math.ulp(closed_f)
+    passed = passed and rel_err <= MC_REL_TOL
+    return BoundCheck(
+        name, estimate.value, closed_f, abs_err, rel_err, estimate.std_error, passed
+    )
+
+
+def _exact_check(name, value, expected) -> BoundCheck:
+    abs_err = abs(float(value - expected))
+    return BoundCheck(
+        name, float(value), float(expected), abs_err, _relative(abs_err, float(expected)), 0.0, value == expected
+    )
+
+
+def bound_check_battery(
+    d_star: Fraction,
+    vs=None,
+    method: str = "mc",
+    samples: int = 1_000_000,
+    seed: int = DEFAULT_SEED,
+) -> list[BoundCheck]:
+    """All verification checks at one diameter, as BoundCheck records.
+
+    The integrals come first: the no-notch one, then per v the notch one
+    and, by Monte Carlo, the pocket volume.  Monte-Carlo estimates pass
+    within MC_SIGMA_GATE standard errors and MC_REL_TOL of the closed form,
+    the exact quadrature by ``==``.
+
+    Besides the integrals, every check is an exact decision.  The notch
+    identity, the derivative factorization and the derivative's integral
+    (Simpson's rule on the cubic derivative against the quartic's rise) are
+    homogeneous in (d*, v), of degree 4, 3 and 4, so r(d*, v) =
+    d*^k r(1, v/d*): for d* > 0 they hold for every v iff r(1, t), of
+    degree <= 4, vanishes at five distinct t, here t = k/16 for k = 0..4.
+    So the stated derivative is the quartic's, and by its factorization the
+    quartic rises up to d*/7 and falls after it; no point d* i/40000 of the
+    10^4-step grid hits d*/7, so the grid maximum is at one of the two
+    points around it.
+    """
+    if vs is None:
+        vs = [d_star / 8, d_star / 7, d_star / 4]
+    configs = [NotchConfig(d_star, v) for v in vs]
+    mc = _normalize_method(method) == "monte_carlo"
+
+    region = _region_estimates(d_star, [_exact(d_star) / 4, *vs], method, samples, seed)
+    pockets = [None] * len(vs)
+    if mc:
+        pocket_values = [partial(_pocket_values, float(v)) for v in vs]
+        pockets = _mc_over_simplex(4, d_star, pocket_values, samples, seed)
+    integrals = [(f"integral_no_notch[{method}]", region[0], no_notch_integral_value(d_star))]
+    for cfg, notch, pocket in zip(configs, region[1:], pockets):
+        closed = notch_integral_value(d_star, cfg.v)
+        integrals.append((f"integral_notch[{method}] v={cfg.v}", notch, closed))
+        if pocket is not None:
+            closed = notch_region_volume(cfg)
+            integrals.append((f"notch_region_volume[mc] v={cfg.v}", pocket, closed))
+    checks = [
+        _mc_check(name, est, closed) if mc else _exact_check(name, est.value, closed)
+        for name, est, closed in integrals
+    ]
+
+    no_notch = no_notch_volume_bound(d_star)
+    checks.append(_exact_check("no_notch_volume_identity", no_notch, d_star**4 / Fraction(32)))
+    probes = [d_star * k / 16 for k in range(5)]
+    for name, residuals in (
+        ("notch_bound_identity", [notch_identity_residual]),
+        (
+            "derivative_factorization",
+            [derivative_factorization_residual, derivative_integral_residual],
+        ),
+    ):
+        worst = max(abs(residual(d_star, v)) for residual in residuals for v in probes)
+        checks.append(_exact_check(name, worst, Fraction(0)))
+
+    peak = 11 * d_star**4 / 343
+    try:
+        optimize_notch(d_star)
+        stated = True
+    except RuntimeError:  # the quartic misses a stated value: a failed check
+        stated = False
+    below = 40_000 // 7
+    grid_max = max(notch_volume_bound(d_star, d_star * i / 40_000) for i in (below, below + 1))
+    gap = abs(float(grid_max - peak))
+    checks.append(
+        BoundCheck(
+            "notch_optimum_grid", float(grid_max), float(peak), gap,
+            _relative(gap, float(peak)), 0.0, stated and grid_max <= peak,
+        )
+    )
+    gap = float(peak - no_notch)
+    checks.append(
+        BoundCheck(
+            "notch_max_dominates_no_notch", float(peak), float(no_notch), gap,
+            _relative(gap, float(no_notch)), 0.0, peak > no_notch,
+        )
+    )
+    checks.append(
+        _exact_check(
+            "integral_scaling_law",
+            no_notch_integral_value(2 * d_star),
+            16 * no_notch_integral_value(d_star),
+        )
+    )
+    return checks

@@ -7,6 +7,10 @@ the random seed defaults to a fixed constant, so identical invocations
 reproduce identical results.  Exit codes: 0 success, 1 a mathematical claim
 failed (not a covering, a bound check failed), 2 usage error.
 
+``verify-bounds`` validates its flags, runs ``bounds.bound_check_battery``
+and renders the checks it returns; the battery and its pass gates live in
+``bounds``.
+
 JSON output is bit-stable: keys sorted, floats rounded to 12 significant
 digits, rationals emitted as ``{"num": ..., "den": ...}`` objects.
 """
@@ -17,10 +21,8 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds
@@ -29,28 +31,6 @@ from .errors import CayleyCoverError
 from .lattices import IntegerLattice, lattice_from_json_dict, lattice_to_json_dict
 from .search import brute_force_f, density_trend, fn_upper_bound, theta_lower_bound
 from .tiles import build_tile, kernel_backend, tile_to_json_dict
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    name: str
-    estimate: float
-    closed_form: float
-    abs_err: float
-    rel_err: float
-    std_err: float
-    passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "estimate": self.estimate,
-            "closed_form": self.closed_form,
-            "abs_err": self.abs_err,
-            "rel_err": self.rel_err,
-            "std_err": self.std_err,
-            "pass": self.passed,
-        }
 
 
 class UsageError(Exception):
@@ -105,7 +85,7 @@ def _load_lattice(path: str) -> IntegerLattice:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return lattice_from_json_dict(json.load(fh))
-        except (ValueError, TypeError, CayleyCoverError) as exc:
+        except (ValueError, TypeError, RecursionError, CayleyCoverError) as exc:
             raise UsageError(f"{path} is not a lattice file: {exc}") from None
 
 
@@ -257,123 +237,6 @@ def _cmd_search_f(args) -> int:
 # ---------------------------------------------------------------------------
 # verify-bounds
 
-def _mc_check(name, estimate, closed) -> BoundCheck:
-    closed_f = float(closed)
-    abs_err = abs(estimate.value - closed_f)
-    rel_err = _relative(abs_err, closed_f)
-    # float rounding of the closed form: at most 4 ulp over 10^5 random d*, so 8
-    passed = abs_err <= bounds.MC_SIGMA_GATE * estimate.std_error + 8 * math.ulp(closed_f)
-    passed = passed and rel_err <= bounds.MC_REL_TOL
-    return BoundCheck(
-        name, estimate.value, closed_f, abs_err, rel_err, estimate.std_error, passed
-    )
-
-
-def _exact_check(name, value, expected) -> BoundCheck:
-    abs_err = abs(float(value - expected))
-    return BoundCheck(
-        name, float(value), float(expected), abs_err, _relative(abs_err, float(expected)), 0.0, value == expected
-    )
-
-
-def _relative(abs_err: float, closed: float) -> float:
-    if closed == 0.0:
-        return 0.0 if abs_err == 0.0 else float("inf")
-    return abs_err / abs(closed)
-
-
-def bound_check_battery(
-    d_star: Fraction,
-    vs=None,
-    method: str = "mc",
-    samples: int = 1_000_000,
-    seed: int = bounds.DEFAULT_SEED,
-) -> list[BoundCheck]:
-    """All verification checks at one diameter, as BoundCheck records.
-
-    Besides the integrals, every check is an exact decision.  The notch
-    identity, the derivative factorization and the derivative's integral
-    (Simpson's rule on the cubic derivative against the quartic's rise) are
-    homogeneous in (d*, v), of degree 4, 3 and 4, so r(d*, v) =
-    d*^k r(1, v/d*): for d* > 0 they hold for every v iff r(1, t), of
-    degree <= 4, vanishes at five distinct t, here t = k/16 for k = 0..4.
-    So the stated derivative is the quartic's, and by its factorization the
-    quartic rises up to d*/7 and falls after it; no point d* i/40000 of the
-    10^4-step grid hits d*/7, so the grid maximum is at one of the two
-    points around it.
-    """
-    if vs is None:
-        vs = [d_star / 8, d_star / 7, d_star / 4]
-
-    if method == "mc":
-        estimates = iter(bounds._mc_battery(d_star, vs, samples, seed))
-    else:
-        estimates = iter(
-            [bounds.integral_no_notch(d_star, method)]
-            + [bounds.integral_notch(bounds.NotchConfig(d_star, v), method) for v in vs]
-        )
-
-    def check(name, closed):
-        est = next(estimates)
-        if method == "mc":
-            return _mc_check(name, est, closed)
-        return _exact_check(name, est.value, closed)
-
-    checks = [check(f"integral_no_notch[{method}]", bounds.no_notch_integral_value(d_star))]
-    for v in vs:
-        cfg = bounds.NotchConfig(d_star, v)
-        closed = bounds.notch_integral_value(d_star, v)
-        checks.append(check(f"integral_notch[{method}] v={v}", closed))
-        if method == "mc":
-            checks.append(check(f"notch_region_volume[mc] v={v}", bounds.notch_region_volume(cfg)))
-
-    no_notch = bounds.no_notch_volume_bound(d_star)
-    checks.append(_exact_check("no_notch_volume_identity", no_notch, d_star**4 / Fraction(32)))
-    probes = [d_star * k / 16 for k in range(5)]
-    for name, residuals in (
-        ("notch_bound_identity", [bounds.notch_identity_residual]),
-        (
-            "derivative_factorization",
-            [bounds.derivative_factorization_residual, bounds.derivative_integral_residual],
-        ),
-    ):
-        worst = max(abs(residual(d_star, v)) for residual in residuals for v in probes)
-        checks.append(_exact_check(name, worst, Fraction(0)))
-
-    stated = bounds.NotchOptimum(d_star / 7, 11 * d_star**4 / 343, d_star / 4, d_star**4 / 32)
-    try:
-        optimum = bounds.optimize_notch(d_star)
-    except RuntimeError:  # the quartic misses a stated value: a failed check
-        optimum = None
-    below = 40_000 // 7
-    grid_max = max(
-        bounds.notch_volume_bound(d_star, d_star * i / 40_000) for i in (below, below + 1)
-    )
-    peak = float(stated.max_value)
-    gap = abs(float(grid_max - stated.max_value))
-    checks.append(
-        BoundCheck(
-            "notch_optimum_grid", float(grid_max), peak, gap, _relative(gap, peak), 0.0,
-            optimum == stated and grid_max <= stated.max_value,
-        )
-    )
-    gap = float(stated.max_value - no_notch)
-    checks.append(
-        BoundCheck(
-            "notch_max_dominates_no_notch", peak, float(no_notch), gap,
-            _relative(gap, float(no_notch)), 0.0, stated.max_value > no_notch,
-        )
-    )
-    checks.append(
-        _exact_check(
-            "integral_scaling_law",
-            bounds.no_notch_integral_value(2 * d_star),
-            16 * bounds.no_notch_integral_value(d_star),
-        )
-    )
-    return checks
-
-
 def _cmd_verify_bounds(args) -> int:
     if args.samples < 1:
         raise UsageError(f"--samples must be a positive integer, got {args.samples}")
@@ -391,8 +254,13 @@ def _cmd_verify_bounds(args) -> int:
         raise UsageError(
             "--d-star is too large: the closed forms (degree 4 in d*) do not fit in a float"
         ) from None
+    if args.method == "mc" and float(args.d_star**4 / 384) == 0:
+        raise UsageError(
+            "--d-star is too small for --method mc: d*^4/384 rounds to 0 as a float, "
+            "so no estimate could miss its closed form; --method quad is exact"
+        )
     vs = [args.v] if args.v is not None else None
-    checks = bound_check_battery(
+    checks = bounds.bound_check_battery(
         args.d_star,
         vs=vs,
         method=args.method,

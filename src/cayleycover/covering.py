@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch, NotACovering, SingularAfterRounding, SingularBasis
@@ -45,10 +45,7 @@ class DiscreteSimplex:
         return simplex_size(self.n, self.d)
 
     def points(self) -> Iterator[Point]:
-        for p in enumerate_orthant_prec(self.n):
-            if sum(p) > self.d:
-                return
-            yield p
+        return islice(enumerate_orthant_prec(self.n), self.size)
 
 
 def simplex_size(n: int, d: int) -> int:

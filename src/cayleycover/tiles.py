@@ -16,9 +16,10 @@ numpy (see ``search``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
+from itertools import count, islice
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -257,13 +258,8 @@ def tile_from_difference(lattice: IntegerLattice, d: int) -> frozenset[Point]:
     covered = np.zeros((d + 1,) * n, dtype=bool)
     for v in clamped:
         covered[tuple(slice(x, None) for x in v)] = True
-    pts = []
-    for p in enumerate_orthant_prec(n):
-        if sum(p) > d:
-            break
-        if not covered[p]:
-            pts.append(p)
-    result = frozenset(pts)
+    simplex = islice(enumerate_orthant_prec(n), math.comb(d + n, n))
+    result = frozenset(p for p in simplex if not covered[p])
     if len(result) != lattice.det:
         raise RuntimeError(
             f"difference set has {len(result)} points, expected det = {lattice.det}"

@@ -130,14 +130,26 @@ def test_mc_loop_matches_sorted_spacings_reference():
     st.integers(0, 2**64 - 1),
 )
 def test_mc_battery_matches_public_estimators(d, share, samples, seed):
-    # vs as verify-bounds makes it: the default three, or one --v
+    # vs as verify-bounds makes it: the default three, or one --v; each
+    # integral check, by either method, is its public estimator's
     vs = [d / 8, d / 7, d / 4] if share is None else [d * share]
-    expected = [integral_no_notch(d, samples=samples, seed=seed)]
-    for v in vs:
-        cfg = NotchConfig(d, v)
-        expected.append(integral_notch(cfg, samples=samples, seed=seed))
-        expected.append(notch_region_volume_estimate(cfg, samples=samples, seed=seed))
-    assert bounds._mc_battery(d, vs, samples, seed) == expected
+    for method in ("mc", "quad"):
+        expected = [(no_notch_integral_value(d), integral_no_notch(d, method, samples, seed))]
+        for v in vs:
+            cfg = NotchConfig(d, v)
+            expected.append((notch_integral_value(d, v), integral_notch(cfg, method, samples, seed)))
+            if method == "mc":
+                expected.append(
+                    (notch_region_volume(cfg), notch_region_volume_estimate(cfg, samples, seed))
+                )
+        checks = bounds.bound_check_battery(d, vs, method, samples, seed)
+        assert len(checks) == len(expected) + 6
+        for check, (closed, est) in zip(checks, expected):
+            if method == "mc":
+                assert (check.estimate, check.std_err) == (est.value, est.std_error)
+            else:
+                assert est.value == closed and check.estimate == float(est.value)
+                assert check.passed and check.abs_err == 0
 
 
 def test_seed_outside_64_bits_raises():

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +152,50 @@ def test_verify_bounds_quad_passes(tmp_path):
     assert "notch_bound_identity" in names
 
 
+def test_verify_bounds_quad_golden(capsys):
+    # the quadrature is exact and deterministic, so the report is pinned
+    # byte for byte
+    golden = Path(__file__).parent / "golden" / "verify_bounds_quad_7_3.json"
+    assert main(["verify-bounds", "--method", "quad", "--d-star", "7/3", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == golden.read_text() and captured.err == ""
+
+
+EXACT_CHECKS = [
+    "no_notch_volume_identity",
+    "notch_bound_identity",
+    "derivative_factorization",
+    "notch_optimum_grid",
+    "notch_max_dominates_no_notch",
+    "integral_scaling_law",
+]
+
+
+@pytest.mark.parametrize(
+    "flags, names",
+    [
+        (["--method", "mc"], [
+            "integral_no_notch[mc]",
+            "integral_notch[mc] v=7/24", "notch_region_volume[mc] v=7/24",
+            "integral_notch[mc] v=1/3", "notch_region_volume[mc] v=1/3",
+            "integral_notch[mc] v=7/12", "notch_region_volume[mc] v=7/12",
+        ]),
+        (["--method", "quad"], [
+            "integral_no_notch[quad]",
+            "integral_notch[quad] v=7/24", "integral_notch[quad] v=1/3", "integral_notch[quad] v=7/12",
+        ]),
+        (["--method", "mc", "--v", "0"], [
+            "integral_no_notch[mc]", "integral_notch[mc] v=0", "notch_region_volume[mc] v=0",
+        ]),
+        (["--method", "quad", "--v", "0"], ["integral_no_notch[quad]", "integral_notch[quad] v=0"]),
+    ],
+)
+def test_verify_bounds_check_names_in_order(capsys, flags, names):
+    argv = ["verify-bounds", "--d-star", "7/3", "--samples", "1000", "--json", *flags]
+    assert main(argv) in (0, 1)
+    assert [c["name"] for c in json.loads(capsys.readouterr().out)] == names + EXACT_CHECKS
+
+
 def test_verify_bounds_quad_tiny_d_star_is_exact(capsys):
     # the closed forms are subnormal floats here; the quadrature is exact,
     # so nothing underflows to a false failure
@@ -160,6 +205,10 @@ def test_verify_bounds_quad_tiny_d_star_is_exact(capsys):
     quad = [c for c in checks if "[quad]" in c["name"]]
     assert len(quad) == 4
     assert all(c["abs_err"] == 0 for c in quad)
+    # below 1e-80, d*^4/384 rounds to 0 as a float; the exact decisions
+    # stand there too
+    assert main(["verify-bounds", "--method", "quad", "--d-star", "1e-81"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_notch_optimum_grid_sees_an_excess_far_below_the_maximum(monkeypatch):
@@ -174,7 +223,7 @@ def test_notch_optimum_grid_sees_an_excess_far_below_the_maximum(monkeypatch):
         return quartic(d, v) + (peak / 10**6 if v in brackets else 0)
 
     monkeypatch.setattr(bounds, "notch_volume_bound", raised)
-    checks = {c.name: c.passed for c in cli.bound_check_battery(d_star, method="quad")}
+    checks = {c.name: c.passed for c in bounds.bound_check_battery(d_star, method="quad")}
     assert [name for name, passed in checks.items() if not passed] == ["notch_optimum_grid"]
 
 
@@ -187,7 +236,7 @@ def test_notch_optimum_grid_estimate_is_the_full_grid_maximum():
     rng = random.Random(53)
     drawn = [Fraction(rng.randint(1, 999), rng.randint(1, 99)) for _ in range(50)]
     for d_star in drawn + [Fraction(1, 10**80), Fraction(10**20)]:
-        checks = {c.name: c for c in cli.bound_check_battery(d_star, method="quad")}
+        checks = {c.name: c for c in bounds.bound_check_battery(d_star, method="quad")}
         assert checks["notch_optimum_grid"].estimate == float(d_star**4 * top)
         assert checks["notch_optimum_grid"].passed
 
@@ -267,7 +316,7 @@ def test_mc_gate_cushion_is_float_rounding_only(capsys):
     for d_star in (Fraction(1, 10**6), Fraction(11, 3), Fraction(10**6)):
         closed = bounds.notch_region_volume(bounds.NotchConfig(d_star, 0))
         estimate = bounds.IntegralEstimate(float(closed) * (1 + 1e-12), 0.0, 1, "monte_carlo", 0)
-        assert not cli._mc_check("pocket", estimate, closed).passed, d_star
+        assert not bounds._mc_check("pocket", estimate, closed).passed, d_star
 
 
 def test_usage_error_exits_2(tmp_path, lattice_file, capsys):
@@ -294,6 +343,9 @@ def test_usage_error_exits_2(tmp_path, lattice_file, capsys):
     strings.write_text(json.dumps({"n": 2, "basis": [["3", "0"], ["0", "1"]]}))
     fractional_n = tmp_path / "fractional_n.json"
     fractional_n.write_text(json.dumps({"n": 2.5, "basis": [[2, 0], [0, 1]]}))
+    # deeper than the JSON decoder's recursion limit
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
     # each is reported in one line on stderr before any compute
     for argv in (
         ["search-f", "--n", "0", "--d", "2"],
@@ -307,6 +359,8 @@ def test_usage_error_exits_2(tmp_path, lattice_file, capsys):
         ["tile", "--lattice", str(strings)],
         ["tile", "--lattice", str(fractional_n)],
         ["cover", "--n", "2", "--d", "1", "--lattice", str(malformed)],
+        ["tile", "--lattice", str(nested)],
+        ["cover", "--n", "2", "--d", "1", "--lattice", str(nested)],
         ["verify-bounds", "--samples", "0"],
         ["verify-bounds", "--method", "quad", "--nodes", "0"],
         ["verify-bounds", "--d-star", "0"],
@@ -320,6 +374,9 @@ def test_usage_error_exits_2(tmp_path, lattice_file, capsys):
         ["search-f", "--n", "2", "--d", "2", "--threads", "-4"],
         ["density-table", "--n", "2", "--d-range", "1..2", "--threads", "0"],
         ["verify-bounds", "--d-star", "1e100"],
+        # d*^4/384 is 0 as a float: every Monte-Carlo check would pass at 0
+        ["verify-bounds", "--d-star", "1e-81"],
+        ["verify-bounds", "--method", "mc", "--d-star", "1e-400", "--v", "0"],
         ["theta-bounds", "--n-max", "0"],
         ["theta-bounds", "--n-max", "-3", "--csv"],
     ):
