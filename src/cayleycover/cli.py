@@ -13,12 +13,17 @@ and renders the checks it returns; the battery and its pass gates live in
 
 JSON output is bit-stable: keys sorted, floats rounded to 12 significant
 digits, rationals emitted as ``{"num": ..., "den": ...}`` objects.
+
+``main(argv)`` may be called any number of times in one process; every call
+parses with one shared parser, built on the first call (``_build_parser``).
+The console script runs ``main`` once, as before.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -315,7 +320,15 @@ def _cmd_theta_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every ``main``
+    call in the process.
+
+    Parsing keeps no state in it: each parse makes a fresh namespace, and
+    the ``func`` defaults are module functions that look up what they call
+    in the module's globals at call time.
+    """
     parser = argparse.ArgumentParser(
         prog="cayleycover",
         description="Cayley tiles, simplex coverings of Z^n, degree-diameter "

@@ -152,6 +152,17 @@ def test_mc_battery_matches_public_estimators(d, share, samples, seed):
                 assert check.passed and check.abs_err == 0
 
 
+def test_battery_takes_an_int_d_star_as_its_fraction():
+    # an int d* must not turn d*/8 or the identity probes into floats
+    for d, vs in ((7, None), (4, [0, 1, Fraction(1, 2)])):
+        exact = None if vs is None else [Fraction(v) for v in vs]
+        for method in ("mc", "quad"):
+            checks = bounds.bound_check_battery(d, vs, method, samples=2000)
+            reference = bounds.bound_check_battery(Fraction(d), exact, method, samples=2000)
+            assert [c.as_dict() for c in checks] == [c.as_dict() for c in reference]
+        assert all(c.passed for c in bounds.bound_check_battery(d, vs, "quad"))
+
+
 def test_seed_outside_64_bits_raises():
     # the stream key holds 64 bits of seed: 2^64 + 1729 would alias 1729
     for seed in (-1, 2**64, 2**64 + 1729):

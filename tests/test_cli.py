@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -396,6 +397,54 @@ def test_usage_error_exits_2(tmp_path, lattice_file, capsys):
             "cayleycover verify-bounds: error: argument "
             f"{argv[1]}: '1/0' has a zero denominator"
         ]
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, lattice_file, capsys):
+    out = tmp_path / "table.csv"
+    calls = [
+        ["tile", "--lattice", lattice_file],
+        ["tile", "--lattice", lattice_file, "--ascii"],
+        ["cover", "--n", "2"],  # rejected by the argument parser
+        ["cover", "--n", "2", "--d", "2", "--lattice", lattice_file, "--continuous",
+         "--resolution", "2"],
+        ["cover", "--n", "2", "--d", "2", "--lattice", lattice_file, "--continuous"],
+        ["search-f", "--n", "0", "--d", "2"],  # a usage error
+        ["search-f", "--n", "2", "--d", "2"],
+        ["density-table", "--n", "2", "--d-range", "1..3", "--out", str(out)],
+        ["verify-bounds", "--method", "mc", "--samples", "3000", "--seed", "5", "--json"],
+        ["verify-bounds", "--method", "mc", "--samples", "3000", "--json"],
+        ["verify-bounds", "--method", "quad", "--d-star", "7/3"],
+        ["theta-bounds", "--n-max", "4", "--csv"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        written = out.read_text() if out.exists() else None
+        out.unlink(missing_ok=True)
+        # search-f reports its wall time; every other byte must repeat
+        text = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', captured.out)
+        return code, text, captured.err, written
+
+    cli._build_parser.cache_clear()
+    shared = [run(argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+
+    codes = [code for code, *_ in shared]
+    assert codes[2] == ("exit", 2) and codes[5] == 2 and codes[11] == 0
+    continuous = [json.loads(shared[i][1])["continuous"]["resolution"] for i in (3, 4)]
+    assert continuous == [2, 4]
+    assert shared[7][1] == "" and shared[7][3].startswith("d,best_density_num")
+    seeded, default = (json.loads(shared[i][1]) for i in (8, 9))
+    assert seeded != default
 
 
 def test_missing_lattice_file_is_usage_error(tmp_path):
