@@ -151,31 +151,38 @@ def reduce_mod(lattice: IntegerLattice, x: Sequence[int]) -> tuple[int, ...]:
     return tuple(r)
 
 
-def lattice_points_in_box(
-    lattice: IntegerLattice, lo: Sequence[int], hi: Sequence[int]
-) -> Iterator[tuple[int, ...]]:
-    """Lattice vectors v with ``lo[i] <= v[i] <= hi[i]`` for every i.
+def lattice_points_in_difference_body(
+    lattice: IntegerLattice, d: int
+) -> list[tuple[int, ...]]:
+    """Lattice vectors v whose positive coordinates sum to at most d and
+    whose negative coordinates sum to at least -d.
 
-    Walks integer combinations of the HNF rows from the last row to the
-    first.  Rows below i have no entry in column i, so choosing the
-    coefficient of row i pins coordinate i: the ranges are exact and the
-    enumeration complete, and only lattice vectors are ever visited.
+    These are the differences of two points of the radius-d simplex.  Walks
+    integer combinations of the HNF rows from the last row to the first,
+    one row per pass over the partial vectors.  Rows below i have no entry
+    in column i, so choosing the coefficient of row i pins coordinate i;
+    with ``pos`` and ``neg`` the positive and negative sums of the
+    coordinates already pinned, coordinate i ranges over
+    ``[-(d - neg), d - pos]``.  The ranges are exact and the enumeration
+    complete, and only lattice vectors are ever visited.
     """
     n = lattice.dim
-    basis = lattice.basis
-
-    def rec(i: int, acc: tuple[int, ...]):
-        if i < 0:
-            yield acc
-            return
-        row = basis[i]
-        step = row[i]
-        for z in range(-((acc[i] - lo[i]) // step), (hi[i] - acc[i]) // step + 1):
-            yield from rec(
-                i - 1, tuple(a + z * b for a, b in zip(acc, row[: i + 1])) + acc[i + 1 :]
-            )
-
-    yield from rec(n - 1, (0,) * n)
+    partial = [((0,) * n, 0, 0)]
+    for i in range(n - 1, -1, -1):
+        row = lattice.basis[i]
+        step, head = row[i], row[:i]
+        pinned = []
+        for acc, pos, neg in partial:
+            a, tail = acc[i], acc[i + 1 :]
+            for z in range(-((d - neg + a) // step), (d - pos - a) // step + 1):
+                x = a + z * step
+                pinned.append((
+                    tuple([c + z * b for c, b in zip(acc, head)]) + (x,) + tail,
+                    pos + x if x > 0 else pos,
+                    neg - x if x < 0 else neg,
+                ))
+        partial = pinned
+    return [v for v, _, _ in partial]
 
 
 def same_coset(lattice: IntegerLattice, x: Sequence[int], y: Sequence[int]) -> bool:

@@ -147,12 +147,14 @@ def _cell_shape(diag: Sequence[int]) -> tuple[int, ...]:
 def _block_rows(diag: Sequence[int], lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi-1 of the diagonal's block, one column per sub-diagonal
     entry: row k holds the mixed-radix digits of k, the last cell the
-    least significant."""
+    least significant.  A cell of range 1 has digit 0 and leaves k as it
+    is, so only the cells of larger range are divided out."""
     shape = _cell_shape(diag)
-    rows = np.empty((hi - lo, len(shape)), dtype=np.int64)
+    rows = np.zeros((hi - lo, len(shape)), dtype=np.int64)
     k = np.arange(lo, hi, dtype=np.int64)
     for c in range(len(shape) - 1, -1, -1):
-        k, rows[:, c] = np.divmod(k, shape[c])
+        if shape[c] > 1:
+            k, rows[:, c] = np.divmod(k, shape[c])
     return rows
 
 

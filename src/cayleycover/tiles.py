@@ -25,7 +25,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import MultipleMinimalNotches, NotACovering
-from .lattices import IntegerLattice, lattice_points_in_box, reduce_mod
+from .lattices import IntegerLattice, lattice_points_in_difference_body, reduce_mod
 
 Point = tuple[int, ...]
 
@@ -237,30 +237,43 @@ def tile_from_difference(lattice: IntegerLattice, d: int) -> frozenset[Point]:
 
     Requires d to be at least the tile diameter (i.e. the simplex covers
     Z^n under the lattice); otherwise :class:`NotACovering` is raised with
-    an unreached coset representative as witness.  Only vectors with every
-    coordinate in [-d, d] can clip the simplex, and inside the orthant the
-    clipped region of a vector equals the cone above its positive part, so
-    the subtraction reduces to marking cones of clamped vectors.
+    an unreached coset representative as witness.
+
+    Inside the orthant the clipped region of a vector v is the cone above
+    its positive part v+, so the subtraction reduces to marking cones.  The
+    cone meets the simplex only if v+ lies in it, i.e. sum(v+) <= d; and a
+    graded-positive v has sum(v) >= 0, so sum(v-) <= sum(v+) <= d.  The
+    vectors of :func:`lattice_points_in_difference_body` are therefore all
+    that can clip the simplex.
+
+    A simplex point p is removed exactly when ``p - v`` is an orthant point
+    for some graded-positive lattice vector v, i.e. when an earlier point
+    of the orthant lies in p's coset.  The difference set is thus the tile
+    intersected with the simplex, and it has ``det`` points exactly when d
+    is at least the diameter.  The tile scan runs only to explain a
+    shortfall.
     """
-    base = build_tile(lattice)
-    if d < base.m_diameter:
-        witness = next(p for p in base.points if sum(p) > d)
-        raise NotACovering(
-            f"simplex radius {d} is below the tile diameter {base.m_diameter}",
-            witness=witness,
-        )
     n = lattice.dim
-    clamped = {
-        tuple(max(a, 0) for a in v)
-        for v in lattice_points_in_box(lattice, (-d,) * n, (d,) * n)
-        if _graded_positive(v)
-    }
-    covered = np.zeros((d + 1,) * n, dtype=bool)
-    for v in clamped:
-        covered[tuple(slice(x, None) for x in v)] = True
-    simplex = islice(enumerate_orthant_prec(n), math.comb(d + n, n))
-    result = frozenset(p for p in simplex if not covered[p])
+    result: frozenset[Point] = frozenset()
+    if d >= 0:
+        clamped = {
+            tuple(max(a, 0) for a in v)
+            for v in lattice_points_in_difference_body(lattice, d)
+            if _graded_positive(v)
+        }
+        covered = np.zeros((d + 1,) * n, dtype=bool)
+        for v in clamped:
+            covered[tuple(slice(x, None) for x in v)] = True
+        simplex = islice(enumerate_orthant_prec(n), math.comb(d + n, n))
+        result = frozenset(p for p in simplex if not covered[p])
     if len(result) != lattice.det:
+        base = build_tile(lattice)
+        if d < base.m_diameter:
+            witness = next(p for p in base.points if sum(p) > d)
+            raise NotACovering(
+                f"simplex radius {d} is below the tile diameter {base.m_diameter}",
+                witness=witness,
+            )
         raise RuntimeError(
             f"difference set has {len(result)} points, expected det = {lattice.det}"
         )

@@ -17,7 +17,7 @@ from cayleycover import (
     reduce_mod,
     same_coset,
 )
-from cayleycover.lattices import count_sublattices, lattice_points_in_box
+from cayleycover.lattices import count_sublattices, lattice_points_in_difference_body
 from conftest import (
     det_laplace,
     make_corpus,
@@ -220,15 +220,19 @@ def test_lattice_json_roundtrip():
         lattice_from_json_dict({"basis": [[1]]})
 
 
-def test_lattice_points_in_box_matches_reduction():
+def test_lattice_points_in_difference_body_matches_reduction():
     rng = random.Random(17)
     for lat in make_corpus(18, [(1, 20, 5), (2, 40, 10), (3, 30, 10)]):
         n = lat.dim
-        lo = [rng.randint(-6, 2) for _ in range(n)]
-        hi = [a + rng.randint(-1, 7) for a in lo]
-        box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-        expected = {p for p in box if reduce_mod(lat, p) == (0,) * n}
-        found = list(lattice_points_in_box(lat, lo, hi))
+        d = rng.randint(-2, 7)
+        cube = itertools.product(range(-d, d + 1), repeat=n)
+        expected = {
+            p for p in cube
+            if reduce_mod(lat, p) == (0,) * n
+            and sum(max(a, 0) for a in p) <= d
+            and sum(max(-a, 0) for a in p) <= d
+        }
+        found = lattice_points_in_difference_body(lat, d)
         assert len(found) == len(set(found))
         assert set(found) == expected
 

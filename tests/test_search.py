@@ -188,6 +188,30 @@ def test_index_rows_match_enumerator(n, m, data):
     assert sum(search_mod._rank(diag, flat) for diag in diags) == k
 
 
+def test_block_rows_match_dividing_every_cell():
+    # the rows as made before cells of range 1 were skipped: one divmod
+    # per sub-diagonal cell
+    def every_cell(diag, lo, hi):
+        shape = search_mod._cell_shape(diag)
+        rows = np.empty((hi - lo, len(shape)), dtype=np.int64)
+        k = np.arange(lo, hi, dtype=np.int64)
+        for c in range(len(shape) - 1, -1, -1):
+            k, rows[:, c] = np.divmod(k, shape[c])
+        return rows
+
+    diags = [
+        (1,), (5,), (1, 1), (1, 3), (3, 1), (1, 1, 3, 1, 2, 1), (2, 1, 1, 1, 1, 3),
+        (1, 2, 1, 2, 1, 2, 1), (1,) * 12 + (2,), (3,) + (1,) * 10, (1,) * 40,
+    ]
+    for diag in diags:
+        size = math.prod(search_mod._cell_shape(diag))
+        for lo, hi in [(0, size), (0, 1), (size // 3, size), (size - 1, size)]:
+            rows = search_mod._block_rows(diag, lo, hi)
+            expected = every_cell(diag, lo, hi)
+            assert rows.dtype == expected.dtype and rows.shape == expected.shape
+            assert np.array_equal(rows, expected)
+
+
 @st.composite
 def hnf_group(draw):
     """Canonical HNFs of one diagonal (one batch group) plus a few of other

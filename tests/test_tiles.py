@@ -19,7 +19,7 @@ from cayleycover import (
     tile_from_difference,
 )
 from cayleycover import tiles
-from cayleycover.lattices import lattice_points_in_box
+from cayleycover.lattices import lattice_points_in_difference_body
 from cayleycover.tiles import prec_key
 
 from conftest import (
@@ -165,10 +165,13 @@ def test_tile_from_difference_examples():
         d = build_tile(lat).m_diameter
         cases += [(lat, d), (lat, d + 1)]
     for lat, d in cases:
-        box = lattice_points_in_box(lat, (-d,) * lat.dim, (d,) * lat.dim)
-        vectors = [v for v in box if tiles._graded_positive(v)]
+        body = lattice_points_in_difference_body(lat, d)
+        vectors = [v for v in body if tiles._graded_positive(v)]
         assert len(vectors) == len(set(vectors))
-        assert set(vectors) == cube_positive_lattice_vectors(lat, d)
+        assert set(vectors) == {
+            v for v in cube_positive_lattice_vectors(lat, d)
+            if sum(max(a, 0) for a in v) <= d
+        }
 
 
 def test_incomplete_scan_raises(monkeypatch):
@@ -179,7 +182,7 @@ def test_incomplete_scan_raises(monkeypatch):
 
 
 def test_difference_set_size_is_checked(monkeypatch):
-    monkeypatch.setattr(tiles, "lattice_points_in_box", lambda lattice, lo, hi: iter(()))
+    monkeypatch.setattr(tiles, "lattice_points_in_difference_body", lambda lattice, d: [])
     with pytest.raises(RuntimeError):
         tile_from_difference(L5, 2)
 
@@ -188,6 +191,40 @@ def test_tile_from_difference_requires_covering():
     with pytest.raises(NotACovering) as err:
         tile_from_difference(L5, 1)
     assert err.value.witness == (0, 2)
+
+
+# index caps keep the difference body, about C(2n, n)/n! d^n / det
+# vectors at d = diameter + 3, small
+_DIFFERENCE_CAPS = {1: 30, 2: 40, 3: 24, 4: 12, 5: 8}
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(1, 5).flatmap(lambda n: hnfs(n, _DIFFERENCE_CAPS[n])))
+def test_tile_from_difference_matches_scan(lat):
+    tile = build_tile(lat)
+    diam = tile.m_diameter
+    for d in (diam, diam + 1, diam + 3):
+        assert tile_from_difference(lat, d) == set(tile.points)
+    for d in sorted({diam - 1, 0, -1, -5}):
+        if d >= diam:
+            continue
+        with pytest.raises(NotACovering) as err:
+            tile_from_difference(lat, d)
+        assert str(err.value) == f"simplex radius {d} is below the tile diameter {diam}"
+        assert err.value.witness == next(p for p in tile.points if sum(p) > d)
+
+
+def test_tile_from_difference_never_scans_when_the_radius_covers(monkeypatch):
+    lattices = [I2, L5, L22] + make_corpus(37, [(2, 40, 6), (3, 30, 6), (4, 16, 4)])
+    expected = [(lat, build_tile(lat)) for lat in lattices]
+
+    def no_scan(*args):
+        raise AssertionError("tile scan ran")
+
+    monkeypatch.setattr(tiles, "build_tile", no_scan)
+    monkeypatch.setattr(tiles, "_scan", no_scan)
+    for lat, tile in expected:
+        assert tile_from_difference(lat, tile.m_diameter) == tile.point_set
 
 
 def test_is_tiling():
