@@ -265,7 +265,7 @@ def integral_no_notch(
 ) -> IntegralEstimate:
     """Estimate of the no-notch region integral, closed form d*^4/384: the
     notch-case integral at v = d*/4."""
-    return _region_estimates(d_star, [_exact(d_star) / 4], method, samples, seed)[0]
+    return integral_notch(NotchConfig(d_star, _exact(d_star) / 4), method, samples, seed)
 
 
 def integral_notch(
@@ -482,16 +482,17 @@ def bound_check_battery(
         vs = [_exact(v) for v in vs]
     configs = [NotchConfig(d_star, v) for v in vs]
     mc = _normalize_method(method) == "monte_carlo"
+    tag = "mc" if mc else "quad"
 
     region = _region_estimates(d_star, [d_star / 4, *vs], method, samples, seed)
     pockets = [None] * len(vs)
     if mc:
         pocket_values = [partial(_pocket_values, float(v)) for v in vs]
         pockets = _mc_over_simplex(4, d_star, pocket_values, samples, seed)
-    integrals = [(f"integral_no_notch[{method}]", region[0], no_notch_integral_value(d_star))]
+    integrals = [(f"integral_no_notch[{tag}]", region[0], no_notch_integral_value(d_star))]
     for cfg, notch, pocket in zip(configs, region[1:], pockets):
         closed = notch_integral_value(d_star, cfg.v)
-        integrals.append((f"integral_notch[{method}] v={cfg.v}", notch, closed))
+        integrals.append((f"integral_notch[{tag}] v={cfg.v}", notch, closed))
         if pocket is not None:
             closed = notch_region_volume(cfg)
             integrals.append((f"notch_region_volume[mc] v={cfg.v}", pocket, closed))

@@ -9,26 +9,29 @@ suite verifies independently.
 
 A lattice's tile has diameter at most d exactly when the C(d+n, n) points
 of the radius-d simplex meet every coset.  The search tests that on whole
-indices held as int64 arrays and builds a lattice object only for the
-witness:
+indices held as int64 arrays.  Its unit is the HNF key: the diagonal
+(d0, ..., d_{n-1}) plus the sub-diagonal cells in row-major order (1,0),
+(2,0), (2,1), (3,0), ..., cell (i, j) in column i(i-1)/2 + j and ranging
+over [0, d_j).  A cell with d_j = 1 is pinned to 0; ``_free_cells`` names
+the others, and every step below walks only them.  A lattice object is
+built only for the witness:
 
-- The HNFs of index m fall into one block per diagonal (d0, ..., d_{n-1})
-  with product m.  A block's rows are its sub-diagonal entries, taken in
-  row-major order (1,0), (2,0), (2,1), (3,0), ..., entry (i, j) ranging
-  over [0, d_j), so row k holds the mixed-radix digits of k.  Rows are
-  made in chunks of at most ``_CHUNK_CELLS`` rows x max(simplex points, m)
-  cells, so a block is never held whole.
+- The HNFs of index m fall into one block per diagonal with product m.
+  Row k of a block holds the mixed-radix digits of k in its free cells.
+  Rows are made in chunks of at most ``_CHUNK_CELLS`` rows x max(simplex
+  points, m) cells, so a block is never held whole.
 - ``_fit_rows`` reduces the simplex through every row of a chunk at once,
-  the diagonal a constant and the entries array columns, and a row fits
-  when it yields all m mixed-radix residues.
+  the diagonal a constant and the free cells array columns, and a row
+  fits when it yields all m mixed-radix residues.
 - Within a block, C order is lexicographic order of the flattened basis,
   which is the order of ``enumerate_sublattices``; so a block's first
   fitting row is its least, and the witness is the least of the block
-  minima.  Each block is scanned only below the best witness so far.
+  minima.  Each block is scanned only below the best key so far.
 - ``candidates_scanned`` counts what ``enumerate_sublattices`` would
   yield up to and including the witness: every lattice of the indices
   above it, plus 1 + the witness's rank at its own index.  ``_rank``
-  counts a block's rows below a basis without generating them.
+  counts a block's rows below a key from the key's free cells, up to the
+  first diagonal entry where the two differ.
 - ``_int64_safe`` is checked once per block.  A block whose intermediates
   could leave int64 is tested lattice by lattice with the exact scan
   ``fits_diameter`` instead.
@@ -39,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -111,18 +114,25 @@ class SearchReport:
     exhaustive: bool
 
 
+def _free_cells(diag: Sequence[int]) -> list[tuple[int, int]]:
+    """The sub-diagonal cells (i, j) that the HNFs with this diagonal can
+    fill, in column order: those with diag[j] > 1.  Every other cell is
+    pinned to 0.  Cell (i, j) is column i(i-1)/2 + j of a key's cells."""
+    big = [j for j, a in enumerate(diag) if a > 1]
+    return [(i, j) for i in range(len(diag)) for j in big if j < i]
+
+
 def _int64_safe(diag: Sequence[int], d: int) -> bool:
     """True iff reducing points with coordinates in [0, d] through any HNF
     with this diagonal, and encoding the residues in mixed radix, keeps
     every intermediate within int64.
 
-    Row i's quotient is at most the bound on coordinate i, and entry (i, j)
-    is below diag[j], so coordinate j grows by at most that product.
+    Row i's quotient is at most the bound on coordinate i, and a free cell
+    (i, j) is below diag[j], so coordinate j grows by at most that product.
     """
     bound = [d] * len(diag)
-    for i in range(len(diag) - 1, 0, -1):
-        for j in range(i):
-            bound[j] += bound[i] * (diag[j] - 1)
+    for i, j in reversed(_free_cells(diag)):
+        bound[j] += bound[i] * (diag[j] - 1)
     return max(max(bound) * max(diag), math.prod(diag)) <= _INT64_MAX
 
 
@@ -138,54 +148,50 @@ def _diagonals(n: int, m: int) -> list[tuple[int, ...]]:
     return sorted(diags + [head + (rest,) for head, rest in heads])
 
 
-def _cell_shape(diag: Sequence[int]) -> tuple[int, ...]:
-    """Ranges of the sub-diagonal entries (1,0), (2,0), (2,1), ... of the
-    HNFs with this diagonal."""
-    return tuple(diag[j] for i in range(len(diag)) for j in range(i))
-
-
 def _block_rows(diag: Sequence[int], lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of the diagonal's block, one column per sub-diagonal
-    entry: row k holds the mixed-radix digits of k, the last cell the
-    least significant.  A cell of range 1 has digit 0 and leaves k as it
-    is, so only the cells of larger range are divided out."""
-    shape = _cell_shape(diag)
-    rows = np.zeros((hi - lo, len(shape)), dtype=np.int64)
+    """Rows lo..hi-1 of the diagonal's block as key cells, one column per
+    sub-diagonal cell: row k holds the mixed-radix digits of k in the free
+    cells, the last one the least significant, and 0 in the pinned ones."""
+    n = len(diag)
+    rows = np.zeros((hi - lo, n * (n - 1) // 2), dtype=np.int64)
     k = np.arange(lo, hi, dtype=np.int64)
-    for c in range(len(shape) - 1, -1, -1):
-        if shape[c] > 1:
-            k, rows[:, c] = np.divmod(k, shape[c])
+    for i, j in reversed(_free_cells(diag)):
+        k, rows[:, i * (i - 1) // 2 + j] = np.divmod(k, diag[j])
     return rows
 
 
 def _basis(diag: Sequence[int], cells: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """The HNF basis with this diagonal and these sub-diagonal entries."""
+    """The HNF basis of the key (diag, cells), cells as Python ints."""
     n = len(diag)
-    entries = iter(map(int, cells))
     return tuple(
-        tuple(next(entries) for _ in range(i)) + (diag[i],) + (0,) * (n - i - 1)
+        tuple(cells[i * (i - 1) // 2 : i * (i + 1) // 2]) + (diag[i],) + (0,) * (n - i - 1)
         for i in range(n)
     )
 
 
-def _rank(diag: Sequence[int], flat: Sequence[int]) -> int:
-    """Number of rows in the diagonal's block whose flattened basis is
-    lexicographically less than ``flat``."""
+def _rank(diag: Sequence[int], key) -> int:
+    """Number of rows in the diagonal's block whose basis is
+    lexicographically less than the basis of ``key`` = (diagonal, cells).
+
+    Leaving out the entries above the diagonal, 0 in every basis, the
+    flattened basis reads d0, c10, d1, c20, c21, d2, ...  The walk stops
+    at the first diagonal entry p where the key differs from the block:
+    every cell before it is a cell (i, j) with j < i <= p, which is free in
+    the key exactly when it is free in the block, and the block's rows
+    that agree with the key up to p are all less than it iff diag[p] is.
+    """
+    key_diag, key_cells = key
     n = len(diag)
-    # each basis entry, row-major, takes the values [low, low + span)
-    ranges = [
-        (0, diag[j]) if j < i else (diag[i], 1) if j == i else (0, 1)
-        for i in range(n)
-        for j in range(n)
-    ]
+    p = next((i for i in range(n) if diag[i] != key_diag[i]), n)
+    free = _free_cells(diag)
+    rest = math.prod(diag[j] for _, j in free)
     rank = 0
-    rest = math.prod(span for _, span in ranges)
-    for (low, span), v in zip(ranges, flat):
-        rest //= span
-        rank += min(max(v - low, 0), span) * rest
-        if not low <= v < low + span:
+    for i, j in free:
+        if i > p:
             break
-    return rank
+        rest //= diag[j]
+        rank += key_cells[i * (i - 1) // 2 + j] * rest
+    return rank + (rest if p < n and diag[p] < key_diag[p] else 0)
 
 
 def _simplex(n: int, d: int) -> np.ndarray:
@@ -195,28 +201,34 @@ def _simplex(n: int, d: int) -> np.ndarray:
 
 
 def _fit_rows(diag: Sequence[int], cells: np.ndarray, simplex: np.ndarray) -> np.ndarray:
-    """Per row of ``cells``, whether the HNF with this diagonal and these
-    sub-diagonal entries has a tile of diameter at most d, i.e. whether the
-    radius-d ``simplex`` meets every coset."""
-    n = len(diag)
+    """Per row of key ``cells``, whether the HNF with this diagonal has a
+    tile of diameter at most d, i.e. whether the radius-d ``simplex`` meets
+    every coset.
+
+    From the last row up, a row i with free cells reduces coordinate i and
+    takes its quotient off the coordinates of those cells.  Every
+    coordinate j is then encoded mod diag[j], which is 0 when diag[j] = 1,
+    so only the others are encoded."""
     r = list(simplex.T)  # coordinate j of every point; gains the row axis
-    for i in range(n - 1, -1, -1):
-        q = r[i] // diag[i]
-        r[i] = r[i] - q * diag[i]
-        for j in range(i):
-            r[j] = r[j] - q * cells[:, i * (i - 1) // 2 + j, None]
+    reduced = len(diag)
+    for i, j in reversed(_free_cells(diag)):
+        if i < reduced:
+            reduced = i
+            q, r[i] = np.divmod(r[i], diag[i])
+        r[j] = r[j] - q * cells[:, i * (i - 1) // 2 + j, None]
     residue = np.zeros((len(cells), len(simplex)), dtype=np.int64)
     stride = 1
     for j, a in enumerate(diag):
-        residue += r[j] * stride
-        stride *= a
+        if a > 1:
+            residue += r[j] % a * stride
+            stride *= a
     seen = np.zeros((len(cells), stride), dtype=bool)
     seen[np.arange(len(cells))[:, None], residue] = True
     return seen.all(axis=1)
 
 
 def _least_fit(diag: tuple[int, ...], d: int, simplex: np.ndarray, limit: int):
-    """Basis of the first of the block's rows 0..limit-1 that fits, or None."""
+    """Cells of the first of the block's rows 0..limit-1 that fits, or None."""
     size = max(1, _CHUNK_CELLS // max(len(simplex), math.prod(diag)))
     safe = _int64_safe(diag, d)
     for lo in range(0, limit, size):
@@ -224,12 +236,11 @@ def _least_fit(diag: tuple[int, ...], d: int, simplex: np.ndarray, limit: int):
         if safe:
             hits = np.flatnonzero(_fit_rows(diag, cells, simplex))
             if len(hits):
-                return _basis(diag, cells[hits[0]])
+                return cells[hits[0]].tolist()
             continue
-        for row in cells:
-            basis = _basis(diag, row)
-            if fits_diameter(IntegerLattice(len(diag), basis), d):
-                return basis
+        for row in cells.tolist():
+            if fits_diameter(IntegerLattice(len(diag), _basis(diag, row)), d):
+                return row
     return None
 
 
@@ -241,21 +252,21 @@ def _scan_index(n: int, d: int, m: int, simplex: np.ndarray):
     over all lattices of the index when none fits.
     """
     diags = _diagonals(n, m)
-    sizes = [math.prod(_cell_shape(diag)) for diag in diags]
+    sizes = [math.prod(diag[j] for _, j in _free_cells(diag)) for diag in diags]
     if sum(sizes) != count_sublattices(n, m):
         raise RuntimeError(
             f"blocks of index {m} in dimension {n} hold {sum(sizes)} rows, "
             f"not {count_sublattices(n, m)}"
         )
-    best = None
+    best = None  # the key (diagonal, cells) of the least fit so far
     for diag, size in zip(diags, sizes):
         # only rows below the best so far are scanned, so a fit replaces it
-        limit = size if best is None else _rank(diag, tuple(chain.from_iterable(best)))
-        best = _least_fit(diag, d, simplex, limit) or best
+        cells = _least_fit(diag, d, simplex, size if best is None else _rank(diag, best))
+        if cells is not None:
+            best = (diag, cells)
     if best is None:
         return sum(sizes), None
-    flat = tuple(chain.from_iterable(best))
-    return 1 + sum(_rank(diag, flat) for diag in diags), IntegerLattice(n, best)
+    return 1 + sum(_rank(diag, best) for diag in diags), IntegerLattice(n, _basis(*best))
 
 
 def brute_force_f(n: int, d: int, index_cap: Optional[int] = None) -> SearchReport:

@@ -163,6 +163,20 @@ def test_battery_takes_an_int_d_star_as_its_fraction():
         assert all(c.passed for c in bounds.bound_check_battery(d, vs, "quad"))
 
 
+def test_battery_names_checks_by_canonical_method():
+    # every spelling _normalize_method accepts names its checks as the
+    # CLI's mc or quad does
+    d = Fraction(7, 3)
+    spellings_of = {"mc": ("mc", "MC", "monte_carlo"), "quad": ("quad", "nested_quadrature")}
+    for tag, spellings in spellings_of.items():
+        runs = [
+            [c.as_dict() for c in bounds.bound_check_battery(d, method=m, samples=1000)]
+            for m in spellings
+        ]
+        assert all(run == runs[0] for run in runs)
+        names = [c["name"] for c in runs[0]]
+        assert f"integral_no_notch[{tag}]" in names and f"integral_notch[{tag}] v=7/24" in names
+
 def test_seed_outside_64_bits_raises():
     # the stream key holds 64 bits of seed: 2^64 + 1729 would alias 1729
     for seed in (-1, 2**64, 2**64 + 1729):
@@ -361,3 +375,11 @@ def test_estimate_metadata_and_errors():
         integral_no_notch(1.0, method="simpson")
     with pytest.raises(ValueError):
         IntegralEstimate(1.0, -0.1, 10, "monte_carlo", 0)
+
+
+def test_no_notch_integral_rejects_nonpositive_d_star():
+    # as integral_notch does through NotchConfig, by either method
+    for d in (0, -1, Fraction(-7, 3), -1.0):
+        for method in ("mc", "quad"):
+            with pytest.raises(ValueError):
+                integral_no_notch(d, method=method)

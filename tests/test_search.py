@@ -35,7 +35,24 @@ BENCH_GRID_SCANNED = {(2, 16): 44, (3, 3): 2792, (3, 4): 15208, (4, 2): 12666, (
 LARGER_POINTS = {
     (3, 5): (40, ((5, 0, 0), (0, 8, 0), (4, 5, 1)), 75877),
     (4, 3): (27, ((3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (1, 1, 1, 1)), 509409),
+    (5, 2): (
+        19,
+        ((19, 0, 0, 0, 0), (2, 1, 0, 0, 0), (11, 0, 1, 0, 0), (13, 0, 0, 1, 0), (14, 0, 0, 0, 1)),
+        872543,
+    ),
 }
+
+
+def block_size(diag):
+    """Number of HNFs with this diagonal: entry (i, j) ranges over [0, diag[j])."""
+    return math.prod(diag[j] ** (len(diag) - 1 - j) for j in range(len(diag)))
+
+
+def hnf_key(basis):
+    """The search key of an HNF basis: its diagonal and its sub-diagonal
+    cells, row by row."""
+    diag = tuple(row[i] for i, row in enumerate(basis))
+    return diag, [v for i, row in enumerate(basis) for v in row[:i]]
 
 
 def test_f2_closed_form_values():
@@ -167,6 +184,20 @@ def test_larger_points_pinned():
         assert bfs_quotient_diameter(report.witness) <= d
 
 
+def test_search_matches_enumerator_at_6_1():
+    # f(6, 1) = 7 is the binomial cap, and in most diagonals of index 7 in
+    # Z^6 every cell is pinned
+    report = brute_force_f(6, 1)
+    assert (report.f_value, report.binomial_cap) == (7, 7)
+    first = next(
+        (k, lattice.basis)
+        for k, lattice in enumerate(enumerate_sublattices(6, 7), 1)
+        if fits_diameter(lattice, 1)
+    )
+    assert first == (report.candidates_scanned, report.witness.basis)
+    assert report.candidates_scanned == 6069
+
+
 # an index of Z^4 below 40 holds up to 2e5 lattices; the oracle builds each
 @settings(max_examples=12, deadline=None, database=None)
 @given(st.integers(1, 4), st.integers(1, 40), st.data())
@@ -175,8 +206,7 @@ def test_index_rows_match_enumerator(n, m, data):
     diags = list(search_mod._diagonals(n, m))
     rows = []
     for diag in diags:
-        size = math.prod(search_mod._cell_shape(diag))
-        cells = search_mod._block_rows(diag, 0, size).tolist()
+        cells = search_mod._block_rows(diag, 0, block_size(diag)).tolist()
         block = [search_mod._basis(diag, c) for c in cells]
         assert block == sorted(block)  # C order is key order
         rows += block
@@ -184,15 +214,22 @@ def test_index_rows_match_enumerator(n, m, data):
     assert len(rows) == count_sublattices(n, m)
     # the rank rule: a basis's position in the enumeration order
     k = data.draw(st.integers(0, len(expected) - 1))
-    flat = sum(expected[k], ())
-    assert sum(search_mod._rank(diag, flat) for diag in diags) == k
+    assert sum(search_mod._rank(diag, hnf_key(expected[k])) for diag in diags) == k
+
+
+@pytest.mark.parametrize("n, m", [(3, 12), (4, 8), (5, 4)])
+def test_rank_rule_at_every_position(n, m):
+    diags = search_mod._diagonals(n, m)
+    for k, lattice in enumerate(enumerate_sublattices(n, m)):
+        key = hnf_key(lattice.basis)
+        assert sum(search_mod._rank(diag, key) for diag in diags) == k
 
 
 def test_block_rows_match_dividing_every_cell():
     # the rows as made before cells of range 1 were skipped: one divmod
     # per sub-diagonal cell
     def every_cell(diag, lo, hi):
-        shape = search_mod._cell_shape(diag)
+        shape = [diag[j] for i in range(len(diag)) for j in range(i)]
         rows = np.empty((hi - lo, len(shape)), dtype=np.int64)
         k = np.arange(lo, hi, dtype=np.int64)
         for c in range(len(shape) - 1, -1, -1):
@@ -204,7 +241,7 @@ def test_block_rows_match_dividing_every_cell():
         (1, 2, 1, 2, 1, 2, 1), (1,) * 12 + (2,), (3,) + (1,) * 10, (1,) * 40,
     ]
     for diag in diags:
-        size = math.prod(search_mod._cell_shape(diag))
+        size = block_size(diag)
         for lo, hi in [(0, size), (0, 1), (size // 3, size), (size - 1, size)]:
             rows = search_mod._block_rows(diag, lo, hi)
             expected = every_cell(diag, lo, hi)
@@ -264,7 +301,8 @@ def test_batched_fit_matches_scan_and_bfs(case):
 def test_int64_fallback_gives_same_report(monkeypatch):
     assert search_mod._int64_safe((16, 2, 1), 4)
     assert not search_mod._int64_safe((1 << 21, 1 << 21, 1 << 21, 1), 4)
-    cases = [(2, 5), (3, 2), (4, 1)]
+    # (5, 1) and (6, 1) mix free and pinned cells in one key
+    cases = [(2, 5), (3, 2), (4, 1), (5, 1), (6, 1)]
     reports = [brute_force_f(n, d) for n, d in cases]
     calls = []
 
