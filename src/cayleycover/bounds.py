@@ -33,6 +33,8 @@ are reproducible.  Every region integral, the battery's and the public
 estimators', comes from ``_region_estimates``: by Monte Carlo it draws one
 3-D sample set for all its notches, and the battery adds one 4-D set for
 every pocket, so each battery estimate equals the public estimator's.
+Only the Monte-Carlo functions use numpy, and they import it when they run:
+the exact checks and the quadrature never load it.
 """
 
 from __future__ import annotations
@@ -41,12 +43,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import BadSampleCount, DimensionMismatch
 
+if TYPE_CHECKING:
+    import numpy as np
 DEFAULT_SEED = 1729
 
 _MC_CHUNK = 1 << 16
@@ -123,12 +125,14 @@ def in_region_notch(x: Sequence, config: NotchConfig) -> bool:
 
 def _notch_values(d: float, v: float, s: np.ndarray, mn: np.ndarray) -> np.ndarray:
     """d* - sum(x) on the notch region and 0 off it, from sums and minima."""
+    import numpy as np
     rest = d - s
     mask = (s <= d) & (rest <= mn) & ~((mn >= v) & (rest >= v))
     return np.where(mask, rest, 0.0)
 
 
 def _pocket_values(v: float, s: np.ndarray, mn: np.ndarray) -> np.ndarray:
+    import numpy as np
     return (mn >= v).astype(np.float64)
 
 
@@ -136,6 +140,7 @@ def _pocket_values(v: float, s: np.ndarray, mn: np.ndarray) -> np.ndarray:
 # Monte Carlo
 
 def _philox(seed: int, chunk: int) -> np.random.Generator:
+    import numpy as np
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     return np.random.Generator(np.random.Philox(key=(seed << 64) | chunk))
@@ -152,6 +157,7 @@ def _mc_over_simplex(dim, d_star, integrands, samples, seed) -> list[IntegralEst
     and minima to its values.  Per integrand, chunk sums are combined with
     exact float summation and scaled by the simplex volume.
     """
+    import numpy as np
     if samples < 1:
         raise BadSampleCount(f"need at least one sample, got {samples}")
     d = float(d_star)

@@ -22,6 +22,7 @@ The console script runs ``main`` once, as before.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -61,19 +62,35 @@ def _dump_json(record) -> str:
     return json.dumps(_json_ready(record), sort_keys=True, indent=2) + "\n"
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift Python's int-to-string digit limit, where it has one, for the
+    duration: exact rationals such as ``fn_upper_bound(1200, 0)`` pass it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def emit_report(record, fmt: str, path=None) -> None:
-    """Write a record as bit-stable JSON or CSV; whole-file writes only."""
-    if fmt == "json":
-        text = _dump_json(record)
-    elif fmt == "csv":
-        header, rows = record
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = buf.getvalue()
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    """Write a record as bit-stable JSON or CSV; whole-file writes only.
+    Exact rationals are written in full, however many digits they have."""
+    with _unlimited_int_digits():
+        if fmt == "json":
+            text = _dump_json(record)
+        elif fmt == "csv":
+            header, rows = record
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+            text = buf.getvalue()
+        else:
+            raise ValueError(f"unknown format {fmt!r}")
     _write(text, path)
 
 

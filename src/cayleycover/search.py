@@ -35,6 +35,9 @@ built only for the witness:
 - ``_int64_safe`` is checked once per block.  A block whose intermediates
   could leave int64 is tested lattice by lattice with the exact scan
   ``fits_diameter`` instead.
+
+The functions that build and test the arrays import numpy when a search
+runs; importing the module does not load it.
 """
 
 from __future__ import annotations
@@ -43,9 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import CapTooSmall
 # enumerate_sublattices is not called here: it fixes the order the search reproduces
@@ -57,6 +58,8 @@ from .lattices import (
 )
 from .tiles import enumerate_orthant_prec, fits_diameter
 
+if TYPE_CHECKING:
+    import numpy as np
 # a cap on rows x max(simplex points, index) per batch
 _CHUNK_CELLS = 1 << 20
 _INT64_MAX = 2**63 - 1
@@ -152,6 +155,7 @@ def _block_rows(diag: Sequence[int], lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi-1 of the diagonal's block as key cells, one column per
     sub-diagonal cell: row k holds the mixed-radix digits of k in the free
     cells, the last one the least significant, and 0 in the pinned ones."""
+    import numpy as np
     n = len(diag)
     rows = np.zeros((hi - lo, n * (n - 1) // 2), dtype=np.int64)
     k = np.arange(lo, hi, dtype=np.int64)
@@ -196,6 +200,7 @@ def _rank(diag: Sequence[int], key) -> int:
 
 def _simplex(n: int, d: int) -> np.ndarray:
     """The C(d+n, n) points of the radius-d simplex, one per row."""
+    import numpy as np
     points = list(islice(enumerate_orthant_prec(n), math.comb(d + n, n)))
     return np.array(points, dtype=np.int64).reshape(len(points), n)
 
@@ -209,6 +214,7 @@ def _fit_rows(diag: Sequence[int], cells: np.ndarray, simplex: np.ndarray) -> np
     takes its quotient off the coordinates of those cells.  Every
     coordinate j is then encoded mod diag[j], which is 0 when diag[j] = 1,
     so only the others are encoded."""
+    import numpy as np
     r = list(simplex.T)  # coordinate j of every point; gains the row axis
     reduced = len(diag)
     for i, j in reversed(_free_cells(diag)):
@@ -229,6 +235,7 @@ def _fit_rows(diag: Sequence[int], cells: np.ndarray, simplex: np.ndarray) -> np
 
 def _least_fit(diag: tuple[int, ...], d: int, simplex: np.ndarray, limit: int):
     """Cells of the first of the block's rows 0..limit-1 that fits, or None."""
+    import numpy as np
     size = max(1, _CHUNK_CELLS // max(len(simplex), math.prod(diag)))
     safe = _int64_safe(diag, d)
     for lo in range(0, limit, size):

@@ -11,7 +11,9 @@ The scan (``_scan``) is one frontier scan in Python integers, with no size
 limit: it grows each shell of the tile from the one before and keeps one
 set of seen coset residues.  It builds every tile and is the oracle for the
 search's batched fit test, which counts residues of the radius-d simplex in
-numpy (see ``search``).
+numpy (see ``search``).  Here numpy is imported only by
+``tile_from_difference``, for its cone mask, so a tile or covering query
+never loads it.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, islice
 from typing import Iterator, Optional, Sequence
-
-import numpy as np
 
 from .errors import MultipleMinimalNotches, NotACovering
 from .lattices import IntegerLattice, lattice_points_in_difference_body, reduce_mod
@@ -253,6 +253,7 @@ def tile_from_difference(lattice: IntegerLattice, d: int) -> frozenset[Point]:
     is at least the diameter.  The tile scan runs only to explain a
     shortfall.
     """
+    import numpy as np
     n = lattice.dim
     result: frozenset[Point] = frozenset()
     if d >= 0:

@@ -1,12 +1,13 @@
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from cayleycover import bounds, cli, covering
+from cayleycover import bounds, cli, covering, fn_upper_bound
 from cayleycover.cli import emit_report, main
 
 
@@ -140,6 +141,41 @@ def test_theta_bounds_json(capsys):
     assert rows[2]["f_upper"] == {"num": 77, "den": 1}
 
 
+def _emit_long_rational(argv, capsys):
+    # the exact bound has more digits than the int-to-string limit; the
+    # report carries it unrounded and leaves the limit as it was
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    assert main(argv) == 0
+    assert limit() == before
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return captured.out
+
+
+def test_search_f_emits_a_bound_past_the_int_digit_limit(capsys):
+    out = _emit_long_rational(["search-f", "--n", "1200", "--d", "0"], capsys)
+    with cli._unlimited_int_digits():
+        upper = json.loads(out)["paper_upper"]
+    assert Fraction(upper["num"], upper["den"]) == fn_upper_bound(1200, 0)
+
+
+def test_theta_bounds_json_emits_a_bound_past_the_int_digit_limit(capsys):
+    out = _emit_long_rational(["theta-bounds", "--n-max", "900", "--d", "1"], capsys)
+    with cli._unlimited_int_digits():
+        upper = json.loads(out)[-1]["f_upper"]
+    assert Fraction(upper["num"], upper["den"]) == fn_upper_bound(900, 1)
+
+
+def test_theta_bounds_csv_emits_a_bound_past_the_int_digit_limit(capsys):
+    argv = ["theta-bounds", "--n-max", "900", "--d", "1", "--csv"]
+    out = _emit_long_rational(argv, capsys)
+    n, _, _, d, num, den = out.splitlines()[-1].split(",")
+    with cli._unlimited_int_digits():
+        upper = Fraction(int(num), int(den))
+    assert (n, d) == ("900", "1") and upper == fn_upper_bound(900, 1)
+
+
 def test_verify_bounds_quad_passes(tmp_path):
     out = tmp_path / "checks.json"
     code = main(
@@ -158,6 +194,15 @@ def test_verify_bounds_quad_golden(capsys):
     # byte for byte
     golden = Path(__file__).parent / "golden" / "verify_bounds_quad_7_3.json"
     assert main(["verify-bounds", "--method", "quad", "--d-star", "7/3", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == golden.read_text() and captured.err == ""
+
+
+def test_verify_bounds_mc_golden(capsys):
+    # the Monte-Carlo streams are keyed by (seed, chunk), so the report at
+    # the default seed and sample count is pinned byte for byte too
+    golden = Path(__file__).parent / "golden" / "verify_bounds_mc_7_3.json"
+    assert main(["verify-bounds", "--method", "mc", "--d-star", "7/3", "--json"]) == 0
     captured = capsys.readouterr()
     assert captured.out == golden.read_text() and captured.err == ""
 

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -168,6 +169,46 @@ def test_import_loads_no_process_machinery():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out == "[]\n"
+
+
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import cayleycover
+from cayleycover import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps([codes, 'numpy' in sys.modules]))
+"""
+
+
+def _numpy_after(calls):
+    """Exit codes of in-process ``cli.main`` calls in a fresh interpreter
+    that imported the package, and whether numpy was loaded after them."""
+    src = os.path.dirname(os.path.dirname(search_mod.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(calls)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    ).stdout
+    return json.loads(out)
+
+
+def test_one_shot_queries_do_not_load_numpy(tmp_path):
+    # tile, cover and the exact bound queries never touch an array
+    lattice = tmp_path / "l5.json"
+    lattice.write_text(json.dumps({"n": 2, "basis": [[5, 0], [-2, 1]]}))
+    calls = [
+        ["tile", "--lattice", str(lattice)],
+        ["cover", "--n", "2", "--d", "2", "--lattice", str(lattice)],
+        ["cover", "--n", "2", "--d", "2", "--lattice", str(lattice), "--continuous"],
+        ["theta-bounds", "--n-max", "4", "--d", "3"],
+        ["verify-bounds", "--method", "quad", "--d-star", "7/3"],
+    ]
+    assert _numpy_after(calls) == [[0] * len(calls), False]
+    # the search and Monte Carlo do load it, so the probe sees an import
+    assert _numpy_after([["search-f", "--n", "2", "--d", "3"]]) == [[0], True]
+    assert _numpy_after([["verify-bounds", "--method", "mc"]]) == [[0], True]
 
 
 def test_candidates_scanned_pinned():
