@@ -12,7 +12,12 @@ and renders the checks it returns; the battery and its pass gates live in
 ``bounds``.
 
 JSON output is bit-stable: keys sorted, floats rounded to 12 significant
-digits, rationals emitted as ``{"num": ..., "den": ...}`` objects.
+digits, rationals emitted as ``{"num": ..., "den": ...}`` objects.  The
+writer (``_dump_json``) is the CLI's own and byte-identical to
+``json.dumps(sort_keys=True, indent=2)``: with ``indent`` set, the stdlib
+(Python 3.11) skips its C encoder for the pure-Python one, and that made
+JSON output the largest single cost of a ``tile`` query.  Lists of exact
+ints, the tile points and witness bases, are joined in one call each.
 
 ``main(argv)`` may be called any number of times in one process; every call
 parses with one shared parser, built on the first call (``_build_parser``).
@@ -27,9 +32,11 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import bounds
 from .covering import continuous_cover_falsify, covers_discrete
@@ -46,20 +53,55 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # serialization helpers
 
-def _json_ready(obj):
-    if isinstance(obj, Fraction):
-        return {"num": obj.numerator, "den": obj.denominator}
-    if isinstance(obj, float):
-        return float(format(obj, ".12g"))
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    return obj
-
-
 def _dump_json(record) -> str:
-    return json.dumps(_json_ready(record), sort_keys=True, indent=2) + "\n"
+    """The record as ``json.dumps(record, sort_keys=True, indent=2)`` writes
+    it, after ``Fraction`` becomes ``{"num", "den"}`` and floats are rounded
+    to 12 significant digits, plus a final newline."""
+    return _json_text(record, "\n") + "\n"
+
+
+def _json_text(obj, pad: str) -> str:
+    """One JSON value; ``pad`` is the newline and indent of its own line."""
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if {int}.issuperset(map(type, obj)):
+            items = map(int.__repr__, obj)
+        else:
+            items = [_json_text(v, inner) for v in obj]
+        return f"[{inner}{(',' + inner).join(items)}{pad}]"
+    if isinstance(obj, Fraction):
+        obj = {"num": obj.numerator, "den": obj.denominator}
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{encode_basestring_ascii(_json_key(k))}: {_json_text(v, inner)}"
+            for k, v in sorted(obj.items())
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return json.dumps(obj)
+    if isinstance(obj, float):
+        x = float(format(obj, ".12g"))
+        if math.isfinite(x):
+            return float.__repr__(x)
+        return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: str, int, float, bool or None."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 @contextlib.contextmanager

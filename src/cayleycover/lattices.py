@@ -37,13 +37,16 @@ class IntegerLattice:
         n = self.dim
         if n < 1 or len(self.basis) != n or any(len(r) != n for r in self.basis):
             raise DimensionMismatch(f"basis must be a {n}x{n} integer matrix")
+        diag = []
         for i, row in enumerate(self.basis):
             if row[i] < 1:
                 raise SingularBasis("diagonal entries must be positive")
-            if any(row[j] != 0 for j in range(i + 1, n)):
+            if any(row[i + 1 :]):
                 raise ValueError("basis must be lower triangular")
-            if any(not 0 <= row[j] < self.basis[j][j] for j in range(i)):
+            below = row[:i]
+            if i and not (min(below) >= 0 and all(map(operator.lt, below, diag))):
                 raise ValueError("entries below the diagonal must be reduced")
+            diag.append(row[i])
 
     @property
     def det(self) -> int:

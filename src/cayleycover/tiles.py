@@ -179,23 +179,25 @@ def find_notch(tile: CayleyTile) -> Optional[Point]:
        every k (which needs every coordinate >= 1, as T is in the orthant);
     3. an outer corner is in C, since zeroing coordinate k gives a point
        below p - e_k; and it is minimal in C, since any q < p lies below
-       some p - e_k and so in T.
+       some p - e_k and so in T;
+    4. every outer corner p is ``t + e_0`` for a tile point t: p_0 >= 1 by
+       2, and t = p - e_0 is in T.
 
-    The minimal candidates are therefore exactly the outer corners, each of
-    the form ``t + e_i`` with t in T, found with O(|T| n^2) set lookups.
-    Raises :class:`MultipleMinimalNotches` when there are several, which
-    would contradict the single-notch structure of lattice tiles.
+    The minimal candidates are therefore exactly the outer corners, all found
+    by walking ``p = t + e_0`` over T and checking ``p - e_k`` in T for
+    k = 1..n-1, with O(|T| n) set lookups.  Raises
+    :class:`MultipleMinimalNotches` when there are several, which would
+    contradict the single-notch structure of lattice tiles.
     """
     n = tile.dim
     points = tile.point_set
     minimal = set()
-    for t in points:
-        for i in range(n):
-            p = t[:i] + (t[i] + 1,) + t[i + 1 :]
-            if p not in points and all(
-                p[:k] + (p[k] - 1,) + p[k + 1 :] in points for k in range(n)
-            ):
-                minimal.add(p)
+    for t in tile.points:
+        p = (t[0] + 1,) + t[1:]
+        if p not in points and all(
+            p[:k] + (p[k] - 1,) + p[k + 1 :] in points for k in range(1, n)
+        ):
+            minimal.add(p)
     if not minimal:
         return None
     if len(minimal) != 1:

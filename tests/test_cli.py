@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 import sys
@@ -6,9 +7,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleycover import bounds, cli, covering, fn_upper_bound
 from cayleycover.cli import emit_report, main
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -192,7 +198,7 @@ def test_verify_bounds_quad_passes(tmp_path):
 def test_verify_bounds_quad_golden(capsys):
     # the quadrature is exact and deterministic, so the report is pinned
     # byte for byte
-    golden = Path(__file__).parent / "golden" / "verify_bounds_quad_7_3.json"
+    golden = GOLDEN / "verify_bounds_quad_7_3.json"
     assert main(["verify-bounds", "--method", "quad", "--d-star", "7/3", "--json"]) == 0
     captured = capsys.readouterr()
     assert captured.out == golden.read_text() and captured.err == ""
@@ -201,10 +207,40 @@ def test_verify_bounds_quad_golden(capsys):
 def test_verify_bounds_mc_golden(capsys):
     # the Monte-Carlo streams are keyed by (seed, chunk), so the report at
     # the default seed and sample count is pinned byte for byte too
-    golden = Path(__file__).parent / "golden" / "verify_bounds_mc_7_3.json"
+    golden = GOLDEN / "verify_bounds_mc_7_3.json"
     assert main(["verify-bounds", "--method", "mc", "--d-star", "7/3", "--json"]) == 0
     captured = capsys.readouterr()
     assert captured.out == golden.read_text() and captured.err == ""
+
+
+# (golden file, lattice basis, arguments after --lattice): outputs pinned
+# byte for byte
+GOLDEN_QUERIES = [
+    ("tile_4d_index96_notch.json",
+     [[12, 0, 0, 0], [4, 2, 0, 0], [3, 1, 4, 0], [9, 0, 1, 1]], ["tile"]),
+    ("tile_2d_index21.json", [[7, 0], [2, 3]], ["tile"]),
+    # radius 13 is below the diameter 14; the witness has Fraction coordinates
+    ("cover_continuous_fail_2d.json", [[12, 0], [8, 4]],
+     ["cover", "--n", "2", "--d", "13", "--continuous", "--resolution", "3"]),
+]
+
+
+@pytest.mark.parametrize("name,basis,argv", GOLDEN_QUERIES)
+def test_query_golden(name, basis, argv, tmp_path, capsys):
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps({"n": len(basis), "basis": basis}))
+    code = main(argv + ["--lattice", str(path)])
+    captured = capsys.readouterr()
+    assert code == (1 if "--continuous" in argv else 0)
+    assert captured.out == (GOLDEN / name).read_text() and captured.err == ""
+
+
+def test_search_f_golden(capsys):
+    assert main(["search-f", "--n", "3", "--d", "3"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r'\n  "elapsed_ms": \d+,\n', out)
+    out = re.sub(r'\n  "elapsed_ms": \d+,\n', "\n", out)
+    assert out == (GOLDEN / "search_f_3_3.json").read_text()
 
 
 EXACT_CHECKS = [
@@ -507,3 +543,68 @@ def test_emit_report_float_formatting(tmp_path, capsys):
     emit_report({"z": [1, 2, {"k": 0.1}]}, "json", str(path_a))
     emit_report({"z": [1, 2, {"k": 0.1}]}, "json", str(path_b))
     assert path_a.read_bytes() == path_b.read_bytes()
+
+
+def _reference_json_ready(obj):
+    if isinstance(obj, Fraction):
+        return {"num": obj.numerator, "den": obj.denominator}
+    if isinstance(obj, float):
+        return float(format(obj, ".12g"))
+    if isinstance(obj, dict):
+        return {k: _reference_json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_json_ready(v) for v in obj]
+    return obj
+
+
+def reference_dump_json(record) -> str:
+    """The stdlib path the writer replaces."""
+    return json.dumps(_reference_json_ready(record), sort_keys=True, indent=2) + "\n"
+
+
+_EDGE_FLOATS = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+    0.1 + 0.2, 999999999999.5, 999999999999.4, 0.1234567890125, 1.0000000000005,
+    123456789012.49, 9999999999999998.0, 1e16, 1e-4, 1e-5, 1.7976931348623157e308,
+]
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(4300, 4400).map(lambda k: 10**k + 7),
+    st.integers(4300, 4400).map(lambda k: -(3**(k * 2))),
+    st.floats(),
+    st.sampled_from(_EDGE_FLOATS),
+    st.builds(lambda m, e: m * 10.0**e, st.integers(-10**13, 10**13), st.integers(-30, 30)),
+    st.fractions(),
+    st.builds(Fraction, st.integers(-10**4400, 10**4400), st.integers(1, 10**50)),
+    st.text(),
+    st.sampled_from(['"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é€\u2028😀", "\ud800"]),
+    st.lists(st.one_of(st.integers(), st.booleans())),
+)
+_RECORDS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(st.text(), inner),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_RECORDS)
+def test_dump_json_matches_stdlib_writer(record):
+    with cli._unlimited_int_digits():
+        assert cli._dump_json(record) == reference_dump_json(record)
+
+
+def test_dump_json_dict_keys_as_stdlib():
+    for record in ({1: "a", -2: "b"}, {1.5: 0, -0.0: 1, math.inf: 2}, {None: 1}, {True: 0, False: 1}):
+        assert cli._dump_json(record) == reference_dump_json(record)
+    for record in ({(1, 2): 0}, {"a": 0, 1: 1}, {"x": object()}):
+        with pytest.raises(TypeError):
+            reference_dump_json(record)
+        with pytest.raises(TypeError):
+            cli._dump_json(record)

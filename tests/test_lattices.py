@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cayleycover import (
     DimensionMismatch,
+    IntegerLattice,
     SingularBasis,
     enumerate_sublattices,
     hnf_normalize,
@@ -68,6 +69,71 @@ def test_hnf_singular_raises():
 def test_hnf_ragged_rows_raise():
     with pytest.raises(DimensionMismatch):
         hnf_normalize([(1, 0), (0, 1, 2)])
+
+
+def per_entry_canonical_check(n, basis):
+    """The canonical-form check of ``IntegerLattice``, entry by entry: the
+    (type, message) of the error it must raise, or None."""
+    if n < 1 or len(basis) != n or any(len(r) != n for r in basis):
+        return DimensionMismatch, f"basis must be a {n}x{n} integer matrix"
+    for i, row in enumerate(basis):
+        if row[i] < 1:
+            return SingularBasis, "diagonal entries must be positive"
+        if any(row[j] != 0 for j in range(i + 1, n)):
+            return ValueError, "basis must be lower triangular"
+        if any(not 0 <= row[j] < basis[j][j] for j in range(i)):
+            return ValueError, "entries below the diagonal must be reduced"
+    return None
+
+
+REDUCED = "entries below the diagonal must be reduced"
+MALFORMED_BASES = [
+    (0, (), DimensionMismatch, "basis must be a 0x0 integer matrix"),
+    (3, ((1, 0, 0), (0, 1, 0)), DimensionMismatch, "basis must be a 3x3 integer matrix"),
+    (2, ((1, 0), (0, 1, 0)), DimensionMismatch, "basis must be a 2x2 integer matrix"),
+    (2, ((0, 0), (0, 1)), SingularBasis, "diagonal entries must be positive"),
+    (3, ((1, 0, 0), (0, 1, 0), (0, 0, -1)), SingularBasis, "diagonal entries must be positive"),
+    (2, ((1, 1), (0, 1)), ValueError, "basis must be lower triangular"),
+    (3, ((2, 0, 0), (1, 3, 0, 0), (0, 0, 1)), DimensionMismatch,
+     "basis must be a 3x3 integer matrix"),
+    (3, ((2, 0, 0), (1, 3, 0), (1, 3, 1)), ValueError, REDUCED),  # equals its diagonal
+    (3, ((2, 0, 0), (1, 3, 0), (0, -1, 1)), ValueError, REDUCED),
+    (2, ((2, 0), (2, 1)), ValueError, REDUCED),
+    # the first bad row decides, and within a row the diagonal comes first
+    (2, ((1, 5), (0, 0)), ValueError, "basis must be lower triangular"),
+    (2, ((2, 0), (3, 0)), SingularBasis, "diagonal entries must be positive"),
+    (3, ((2, 0, 0), (0, 2, 1), (5, 0, 1)), ValueError, "basis must be lower triangular"),
+    (3, ((2, 0, 0), (9, 2, 0), (0, 0, 0)), ValueError, REDUCED),
+]
+
+
+@pytest.mark.parametrize("n,basis,error,message", MALFORMED_BASES)
+def test_malformed_basis_raises_its_error(n, basis, error, message):
+    assert per_entry_canonical_check(n, basis) == (error, message)
+    with pytest.raises(error) as info:
+        IntegerLattice(n, basis)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_canonical_check_matches_per_entry_check():
+    rng = random.Random(17)
+    outcomes = set()
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        basis = tuple(
+            tuple(rng.choice((-1, 0, 0, 1, 1, 2, 3)) for _ in range(n)) for _ in range(n)
+        )
+        expected = per_entry_canonical_check(n, basis)
+        if expected is None:
+            assert IntegerLattice(n, basis).basis == basis
+            outcomes.add(None)
+            continue
+        with pytest.raises(expected[0]) as info:
+            IntegerLattice(n, basis)
+        assert (type(info.value), str(info.value)) == expected
+        outcomes.add(expected)
+    # valid, singular, not lower triangular, not reduced
+    assert len(outcomes) == 4
 
 
 def test_determinant_examples():

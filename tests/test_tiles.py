@@ -151,6 +151,54 @@ def test_find_notch_raises_on_two_minimal_candidates():
         find_notch(tile)
 
 
+def _down_closure(tops, n):
+    """The downward-closed set spanned by ``tops``, as a CayleyTile with no
+    lattice behind it (find_notch reads only the points)."""
+    box = itertools.product(*(range(max(t[i] for t in tops) + 1) for i in range(n)))
+    points = tuple(
+        sorted(
+            (p for p in box if any(all(a <= b for a, b in zip(p, t)) for t in tops)),
+            key=prec_key,
+        )
+    )
+    return CayleyTile(dim=n, points=points, m_diameter=sum(points[-1]), source_lattice=None)
+
+
+# coordinate caps keep the oracle's box scan small
+_CLOSURE_CAPS = {2: 7, 3: 4, 4: 3}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: st.lists(
+            st.tuples(*[st.integers(0, _CLOSURE_CAPS[n])] * n), min_size=1, max_size=5
+        )
+    )
+)
+def test_find_notch_on_downward_closed_sets(tops):
+    # not tiles, so there may be any number of outer corners
+    n = len(tops[0])
+    tile = _down_closure(tops, n)
+    _, minimal = brute_notch_candidates(tile.points, n)
+    if len(minimal) > 1:
+        ordered = sorted(minimal, key=prec_key)
+        with pytest.raises(MultipleMinimalNotches) as info:
+            find_notch(tile)
+        assert str(info.value) == f"{len(ordered)} minimal notch candidates: {ordered[:4]}"
+    else:
+        assert find_notch(tile) == (minimal[0] if minimal else None)
+
+
+def test_find_notch_names_both_corners_in_3d():
+    # outer corners (1, 1, 2) and (1, 2, 1): each p - e_k lies below a top
+    tile = _down_closure([(1, 1, 1), (0, 2, 2), (1, 0, 2), (1, 2, 0)], 3)
+    assert brute_notch_candidates(tile.points, 3)[1] == [(1, 1, 2), (1, 2, 1)]
+    with pytest.raises(MultipleMinimalNotches) as info:
+        find_notch(tile)
+    assert str(info.value) == "2 minimal notch candidates: [(1, 1, 2), (1, 2, 1)]"
+
+
 def test_tile_from_difference_examples():
     assert tile_from_difference(I2, 0) == frozenset({(0, 0)})
     assert tile_from_difference(L5, 2) == frozenset(
