@@ -30,9 +30,11 @@ polynomial identities are homogeneous in (d*, v), so a few exact ratios
 v/d* decide them with no floating error and no sampling.  Monte-Carlo
 streams are keyed by (seed, chunk), for a seed in [0, 2^64), so estimates
 are reproducible.  Every region integral, the battery's and the public
-estimators', comes from ``_region_estimates``: by Monte Carlo it draws one
-3-D sample set for all its notches, and the battery adds one 4-D set for
-every pocket, so each battery estimate equals the public estimator's.
+estimators', comes from ``_region_estimates``.  By Monte Carlo each chunk's
+stream is drawn once, for all the notches and, in the battery, every
+pocket: the 3-D points are the first 3m of the 4m doubles the 4-D points
+take, exactly what a 3-D pass alone draws, so each battery estimate
+equals its public estimator's.
 Only the Monte-Carlo functions use numpy, and they import it when they run:
 the exact checks and the quadrature never load it.
 """
@@ -42,7 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import BadSampleCount, DimensionMismatch
@@ -123,17 +124,23 @@ def in_region_notch(x: Sequence, config: NotchConfig) -> bool:
     return not in_pocket
 
 
-def _notch_values(d: float, v: float, s: np.ndarray, mn: np.ndarray) -> np.ndarray:
-    """d* - sum(x) on the notch region and 0 off it, from sums and minima."""
+def _notch_region(d: float, s: np.ndarray, mn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """From sums and minima: d* - sum(x) on the no-notch region and 0 off
+    it, and min(min(x), d* - sum(x)).  The pocket at v holds the points
+    where the second is >= v, so the notches share the first and differ
+    only in where they cut the second."""
     import numpy as np
     rest = d - s
-    mask = (s <= d) & (rest <= mn) & ~((mn >= v) & (rest >= v))
-    return np.where(mask, rest, 0.0)
+    return np.where((s <= d) & (rest <= mn), rest, 0.0), np.minimum(mn, rest)
 
 
-def _pocket_values(v: float, s: np.ndarray, mn: np.ndarray) -> np.ndarray:
-    import numpy as np
-    return (mn >= v).astype(np.float64)
+def _notch_values(d: float, v: float, s: np.ndarray, mn: np.ndarray) -> np.ndarray:
+    """d* - sum(x) on the notch region and 0 off it, from sums and minima:
+    the integrand at one v, as ``_mc_over_simplex`` cuts it.  The region
+    values are finite and >= +0.0, so times the mask they are
+    ``np.where(near < v, base, 0.0)`` bit for bit, with no branch."""
+    base, near = _notch_region(d, s, mn)
+    return base * (near < v)
 
 
 # ---------------------------------------------------------------------------
@@ -146,34 +153,83 @@ def _philox(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) | chunk))
 
 
-def _mc_over_simplex(dim, d_star, integrands, samples, seed) -> list[IntegralEstimate]:
-    """Means of integrands over the solid simplex {x >= 0, sum <= d*}, one
-    estimate per integrand, all from one sample set.
+def _sums_and_minima(u: np.ndarray, d: float, buf: np.ndarray, with_sums: bool):
+    """Coordinate sums (if with_sums) and minima of the simplex points
+    d (u_(1), u_(2) - u_(1), ...), one per row of uniforms u, worked out in
+    place in buf, which has a row per coordinate plus a spare.
+
+    A network of compare-exchanges sorts the coordinates to the same rows
+    as ``np.sort``, and every step is the ufunc the whole-row form uses, in
+    the same order, so the results are bit for bit the same.
+    """
+    import numpy as np
+    m, dim = u.shape
+    rows = list(buf[:, :m])
+    x, spare = rows[:dim], rows[dim]
+    np.copyto(buf[:dim, :m], u.T)
+    for i in range(1, dim):  # insertion sort, as a network
+        for j in range(i, 0, -1):
+            np.minimum(x[j - 1], x[j], out=spare)
+            np.maximum(x[j - 1], x[j], out=x[j])
+            x[j - 1], spare = spare, x[j - 1]
+    for j in range(dim - 1, 0, -1):  # spacings, top down so x[j - 1] is still sorted
+        np.subtract(x[j], x[j - 1], out=x[j])
+        np.multiply(x[j], d, out=x[j])
+    np.multiply(x[0], d, out=x[0])
+    s = None
+    if with_sums:
+        s = np.add(x[0], x[1], out=spare)
+        for xj in x[2:]:
+            np.add(s, xj, out=s)
+    for xj in x[1:]:
+        np.minimum(x[0], xj, out=x[0])
+    return s, x[0]
+
+
+def _mc_over_simplex(
+    d_star, ws, vs, samples, seed
+) -> tuple[list[IntegralEstimate], list[IntegralEstimate]]:
+    """Monte-Carlo estimates over solid simplices {x >= 0, sum <= d*}: per
+    w in ws the 3-D region integral with the notch at (w, w, w, w), per v
+    in vs the volume of the 4-D pocket above (v, v, v, v).  Returns the two
+    lists of estimates.
 
     Samples via sorted-uniform spacings (uniform on the simplex).  Each
-    chunk draws from its own stream keyed by (seed, chunk), once; a network
-    of compare-exchanges sorts the rows column by column, to the same rows
-    as ``np.sort``, and every integrand maps the points' coordinate sums
-    and minima to its values.  Per integrand, chunk sums are combined with
-    exact float summation and scaled by the simplex volume.
+    chunk of m points draws its stream, keyed by (seed, chunk), once: 4m
+    doubles when vs is not empty, else 3m.  The 3-D points are the first 3m
+    doubles, which is what ``random((m, 3))`` draws from that key, so every
+    estimate equals the one a pass for it alone would give.  The notches
+    share one region mask and differ only in which points the pocket takes;
+    a pocket's sum of values and of squares are both its count of hits.
+    Per estimate, chunk sums are combined with exact float summation and
+    scaled by the simplex volume.
     """
     import numpy as np
     if samples < 1:
         raise BadSampleCount(f"need at least one sample, got {samples}")
     d = float(d_star)
-    volume = d**dim / math.factorial(dim)
-    parts = []  # per chunk, per integrand: the sum of values and of squares
+    width = 4 if vs else 3
+    buf = np.empty((width + 1, min(samples, _MC_CHUNK)))
+    parts = []  # per chunk, per estimate: the sum of values and of squares
     for chunk, done in enumerate(range(0, samples, _MC_CHUNK)):
-        u = list(_philox(seed, chunk).random((min(_MC_CHUNK, samples - done), dim)).T)
-        for i in range(1, dim):  # insertion sort, as a network
-            for j in range(i, 0, -1):
-                u[j - 1], u[j] = np.minimum(u[j - 1], u[j]), np.maximum(u[j - 1], u[j])
-        x = [u[0] * d] + [(u[j] - u[j - 1]) * d for j in range(1, dim)]
-        s, mn = reduce(np.add, x), reduce(np.minimum, x)
-        values = [values_of(s, mn) for values_of in integrands]
-        parts.append([(float(v.sum()), float(np.square(v).sum())) for v in values])
+        m = min(_MC_CHUNK, samples - done)
+        flat = _philox(seed, chunk).random(m * width)
+        sums = []
+        if ws:
+            s, mn = _sums_and_minima(flat[: 3 * m].reshape(m, 3), d, buf, True)
+            base, near = _notch_region(d, s, mn)
+            for w in ws:
+                values = base * (near < w)  # as _notch_values(d, w, s, mn)
+                sums.append((float(values.sum()), float(np.square(values).sum())))
+        if vs:
+            _, mn = _sums_and_minima(flat.reshape(m, 4), d, buf, False)
+            for v in vs:
+                hits = float(np.count_nonzero(mn >= v))
+                sums.append((hits, hits))
+        parts.append(sums)
     estimates = []
-    for per_chunk in zip(*parts):
+    for dim, per_chunk in zip([3] * len(ws) + [4] * len(vs), zip(*parts)):
+        volume = d**dim / math.factorial(dim)
         total, total_sq = zip(*per_chunk)
         mean = math.fsum(total) / samples
         var = max(0.0, math.fsum(total_sq) / samples - mean * mean)
@@ -181,7 +237,7 @@ def _mc_over_simplex(dim, d_star, integrands, samples, seed) -> list[IntegralEst
             var *= samples / (samples - 1)
         err = volume * math.sqrt(var / samples)
         estimates.append(IntegralEstimate(volume * mean, err, samples, "monte_carlo", seed))
-    return estimates
+    return estimates[: len(ws)], estimates[len(ws):]
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +304,23 @@ def _normalize_method(method: str) -> str:
 # ---------------------------------------------------------------------------
 # integral estimates
 
-def _region_estimates(d_star, ws, method, samples, seed) -> list[IntegralEstimate]:
+def _region_estimates(
+    d_star, ws, method, samples, seed, vs=()
+) -> tuple[list[IntegralEstimate], list[Optional[IntegralEstimate]]]:
     """The region integral with the notch at (w, w, w, w), one estimate per
     w in ws, by Monte Carlo or by the exact quadrature; w = d*/4 gives the
-    no-notch region.  Monte Carlo makes one 3-D pass for all of ws, in which
-    equal floats w share one integrand."""
+    no-notch region.  Also one pocket volume per v in vs: by Monte Carlo,
+    from the same draws, and None by the quadrature, which has no pocket
+    estimate.  Returns the two lists.  Monte Carlo makes one pass for all
+    of them, in which equal floats w share one estimate."""
     if _normalize_method(method) == "monte_carlo":
         d = float(d_star)
         keys = list(dict.fromkeys(float(w) for w in ws))
-        integrands = [partial(_notch_values, d, w) for w in keys]
-        by_w = dict(zip(keys, _mc_over_simplex(3, d, integrands, samples, seed)))
-        return [by_w[float(w)] for w in ws]
+        region, pockets = _mc_over_simplex(d, keys, [float(v) for v in vs], samples, seed)
+        by_w = dict(zip(keys, region))
+        return [by_w[float(w)] for w in ws], pockets
     d = _exact(d_star)
-    return [_exact_estimate(_notch_pieces(d, _exact(w)), d) for w in ws]
+    return [_exact_estimate(_notch_pieces(d, _exact(w)), d) for w in ws], [None] * len(vs)
 
 
 def integral_no_notch(
@@ -284,7 +344,7 @@ def integral_notch(
 
     Closed form 2v^4 - (4 d*/3) v^3 + (d*^2/4) v^2.
     """
-    return _region_estimates(config.d_star, [config.v], method, samples, seed)[0]
+    return _region_estimates(config.d_star, [config.v], method, samples, seed)[0][0]
 
 
 def notch_region_volume_estimate(
@@ -293,8 +353,7 @@ def notch_region_volume_estimate(
     seed: int = DEFAULT_SEED,
 ) -> IntegralEstimate:
     """Monte-Carlo volume of the pocket {p in simplex : p >= (v, v, v, v)}."""
-    integrand = partial(_pocket_values, float(config.v))
-    return _mc_over_simplex(4, config.d_star, [integrand], samples, seed)[0]
+    return _mc_over_simplex(config.d_star, [], [float(config.v)], samples, seed)[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +549,7 @@ def bound_check_battery(
     mc = _normalize_method(method) == "monte_carlo"
     tag = "mc" if mc else "quad"
 
-    region = _region_estimates(d_star, [d_star / 4, *vs], method, samples, seed)
-    pockets = [None] * len(vs)
-    if mc:
-        pocket_values = [partial(_pocket_values, float(v)) for v in vs]
-        pockets = _mc_over_simplex(4, d_star, pocket_values, samples, seed)
+    region, pockets = _region_estimates(d_star, [d_star / 4, *vs], method, samples, seed, vs)
     integrals = [(f"integral_no_notch[{tag}]", region[0], no_notch_integral_value(d_star))]
     for cfg, notch, pocket in zip(configs, region[1:], pockets):
         closed = notch_integral_value(d_star, cfg.v)

@@ -42,6 +42,7 @@ runs; importing the module does not load it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,6 +87,19 @@ def f4_upper_bound(d: int) -> Fraction:
     return Fraction(11 * (d + 4) ** 4, 343)
 
 
+@functools.lru_cache(maxsize=1)
+def _theta_factor(n: int) -> Fraction:
+    """(n-1) + ((n-1)/(2n-1))^(n-1), the factor both bounds below share.
+
+    Built without a gcd: the power of the reduced (n-1)/(2n-1) is reduced,
+    and the sum's numerator (n-1)(2n-1)^(n-1) + (n-1)^(n-1) is coprime to
+    (2n-1)^(n-1), since gcd(n-1, 2n-1) = 1.  The last n is kept, so the
+    table of ``theta-bounds --d``, which asks both bounds at each n in
+    turn, builds it once per n.
+    """
+    return (n - 1) + Fraction(n - 1, 2 * n - 1) ** (n - 1)
+
+
 def fn_upper_bound(n: int, d: int) -> Fraction:
     """General order bound ((d+n)^n / (n n!)) (n-1 + ((n-1)/(2n-1))^(n-1)).
 
@@ -94,15 +108,14 @@ def fn_upper_bound(n: int, d: int) -> Fraction:
     """
     if n < 2 or d < 0:
         raise ValueError("need n >= 2 and d >= 0")
-    factor = (n - 1) + Fraction(n - 1, 2 * n - 1) ** (n - 1)
-    return Fraction((d + n) ** n, n * math.factorial(n)) * factor
+    return Fraction((d + n) ** n, n * math.factorial(n)) * _theta_factor(n)
 
 
 def theta_lower_bound(n: int) -> Fraction:
     """Covering-density lower bound n / (n-1 + ((n-1)/(2n-1))^(n-1))."""
     if n < 2:
         raise ValueError("need n >= 2")
-    return n / ((n - 1) + Fraction(n - 1, 2 * n - 1) ** (n - 1))
+    return n / _theta_factor(n)
 
 
 @dataclass(frozen=True)

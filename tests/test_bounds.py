@@ -66,15 +66,44 @@ def test_notch_region_examples():
 def test_mc_integrand_matches_region_predicate():
     # the vectorised integrand, from each point's sum and minimum, against
     # the scalar predicate, v = d*/4 (the no-notch region) included; the
-    # point (d*/4,)*3 is the pocket there
+    # point (d*/4,)*3 is the pocket there.  The battery computes the region
+    # once per chunk and cuts each notch's pocket from it, as checked here
     rng = np.random.default_rng(11)
     for d in (1.0, 2.5, Fraction(7, 3), Fraction(1, 3)):
         x = np.vstack([rng.random((4000, 3)) * float(d), np.full((1, 3), float(d) / 4)])
         s, mn = x.sum(axis=1), x.min(axis=1)
+        base, near = bounds._notch_region(float(d), s, mn)
         for v in (0, d / 8, d / 7, d / 4):
             cfg = NotchConfig(d, v)
             expected = [float(d) - sum(p) if in_region_notch(p, cfg) else 0.0 for p in x.tolist()]
-            assert bounds._notch_values(float(d), float(v), s, mn).tolist() == expected
+            assert np.where(near < float(v), base, 0.0).tolist() == expected
+            values = bounds._notch_values(float(d), float(v), s, mn)
+            assert values.tolist() == expected and not np.signbit(values).any()
+
+
+def test_mc_3d_draw_is_a_prefix_of_the_4d_draw():
+    # the battery draws 4m doubles per chunk and takes its 3-D points from
+    # the first 3m: that must be what random((m, 3)) draws from the same key
+    for m in (1, 7, 16_960, 1 << 16):
+        for seed, chunk in ((1729, 0), (0, 5), (2**64 - 1, 1)):
+            three = bounds._philox(seed, chunk).random((m, 3))
+            four = bounds._philox(seed, chunk).random((m, 4))
+            assert np.array_equal(three, four.reshape(-1)[: 3 * m].reshape(m, 3))
+
+
+@pytest.mark.parametrize("samples", [1, 65_536, 65_537, 200_000])
+def test_mc_battery_draws_each_chunk_once(monkeypatch, samples):
+    # one stream per chunk serves the notches and the pockets alike
+    opened = []
+    philox = bounds._philox
+
+    def counting(seed, chunk):
+        opened.append(chunk)
+        return philox(seed, chunk)
+
+    monkeypatch.setattr(bounds, "_philox", counting)
+    bounds.bound_check_battery(Fraction(7, 3), method="mc", samples=samples)
+    assert opened == list(range(math.ceil(samples / 65_536)))
 
 
 def _sorted_spacings_estimate(dim, d, values_of, samples, seed):

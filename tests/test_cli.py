@@ -213,6 +213,17 @@ def test_verify_bounds_mc_golden(capsys):
     assert captured.out == golden.read_text() and captured.err == ""
 
 
+def test_verify_bounds_mc_golden_one_v_partial_chunk(capsys):
+    # one --v, a partial last chunk and seed 0, none of which the default
+    # run takes; at 65537 samples the no-notch and notch estimates miss
+    # their closed forms by more than 1%, so the run exits 1
+    golden = GOLDEN / "verify_bounds_mc_5_2_v.json"
+    argv = ["--d-star", "5/2", "--v", "1/4", "--samples", "65537", "--seed", "0", "--json"]
+    assert main(["verify-bounds", "--method", "mc", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == golden.read_text() and captured.err == ""
+
+
 # (golden file, lattice basis, arguments after --lattice): outputs pinned
 # byte for byte
 GOLDEN_QUERIES = [

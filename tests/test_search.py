@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -90,6 +91,22 @@ def test_theta_lower_bound_values():
     assert theta_lower_bound(3) == Fraction(25, 18)
     assert theta_lower_bound(4) == Fraction(343, 264)
     assert theta_lower_bound(2) == Fraction(3, 2)
+
+
+def test_order_and_density_bounds_match_their_formulas_in_any_call_order():
+    # both bounds share one factor per n; asked out of order, and n apart,
+    # each must still be its formula, reduced from scratch by Fraction
+    def factor(n):
+        power = (2 * n - 1) ** (n - 1)
+        return Fraction((n - 1) * power + (n - 1) ** (n - 1), power)
+
+    rng = random.Random(5)
+    calls = [(n, d) for n in range(2, 61) for d in (0, 1, 2, 7, 10**12)]
+    rng.shuffle(calls)
+    for n, d in calls:
+        expected = Fraction((d + n) ** n * factor(n), n * math.factorial(n))
+        assert fn_upper_bound(n, d) == expected
+        assert theta_lower_bound(n) == n / factor(n)
 
 
 def test_brute_force_small_examples():
