@@ -128,19 +128,13 @@ def _notch_region(d: float, s: np.ndarray, mn: np.ndarray) -> tuple[np.ndarray, 
     """From sums and minima: d* - sum(x) on the no-notch region and 0 off
     it, and min(min(x), d* - sum(x)).  The pocket at v holds the points
     where the second is >= v, so the notches share the first and differ
-    only in where they cut the second."""
+    only in where they cut the second: the integrand at v is
+    ``base * (near < v)``.  The region values are finite and >= +0.0, so
+    that product is ``np.where(near < v, base, 0.0)`` bit for bit, with no
+    branch."""
     import numpy as np
     rest = d - s
     return np.where((s <= d) & (rest <= mn), rest, 0.0), np.minimum(mn, rest)
-
-
-def _notch_values(d: float, v: float, s: np.ndarray, mn: np.ndarray) -> np.ndarray:
-    """d* - sum(x) on the notch region and 0 off it, from sums and minima:
-    the integrand at one v, as ``_mc_over_simplex`` cuts it.  The region
-    values are finite and >= +0.0, so times the mask they are
-    ``np.where(near < v, base, 0.0)`` bit for bit, with no branch."""
-    base, near = _notch_region(d, s, mn)
-    return base * (near < v)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +213,7 @@ def _mc_over_simplex(
             s, mn = _sums_and_minima(flat[: 3 * m].reshape(m, 3), d, buf, True)
             base, near = _notch_region(d, s, mn)
             for w in ws:
-                values = base * (near < w)  # as _notch_values(d, w, s, mn)
+                values = base * (near < w)
                 sums.append((float(values.sum()), float(np.square(values).sum())))
         if vs:
             _, mn = _sums_and_minima(flat.reshape(m, 4), d, buf, False)

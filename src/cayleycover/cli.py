@@ -212,7 +212,7 @@ def _cmd_cover(args) -> int:
     if lattice.dim != args.n:
         raise UsageError(f"--n is {args.n} but the lattice has dimension {lattice.dim}")
     tile = build_tile(lattice)
-    verdict = covers_discrete(args.n, args.d, tile)
+    verdict = covers_discrete(tile, args.d)
     record = {
         "n": args.n,
         "d": args.d,
@@ -224,7 +224,7 @@ def _cmd_cover(args) -> int:
     failed = not verdict.covered
     if args.continuous:
         D = args.d + args.n
-        witness = continuous_cover_falsify(args.n, D, tile, args.resolution)
+        witness = continuous_cover_falsify(tile, D, args.resolution)
         record["continuous"] = {
             "D": D,
             "resolution": args.resolution,
@@ -400,9 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tile", help="build and render the Cayley tile of a lattice")
     p.add_argument("--lattice", required=True, help="lattice JSON file")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True)
-    fmt.add_argument("--ascii", action="store_true")
+    p.add_argument("--ascii", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_tile)
 

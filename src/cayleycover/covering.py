@@ -18,6 +18,11 @@ in z's coset:
 As dist reaches the tile diameter d(L) and sum(t) ranges over [0, n), the
 lattice plus the solid radius-D simplex covers R^n iff D >= d(L) + n: the
 discrete-to-continuous lift from d to d + n is tight.
+
+Every query takes a lattice or its built tile, and a radius, as the tile
+queries do; n is the lattice's dimension: ``covers_discrete(lattice, d)``,
+``discrete_density(lattice, d)``, ``lift_to_continuous(lattice, d)`` and
+``continuous_cover_falsify(lattice, D, resolution=4)``.
 """
 
 from __future__ import annotations
@@ -25,12 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .errors import DimensionMismatch, NotACovering, SingularAfterRounding, SingularBasis
+from .errors import NotACovering, SingularAfterRounding, SingularBasis
 from .lattices import IntegerLattice, hnf_normalize, reduce_mod
-from .tiles import CayleyTile, Point, build_tile, enumerate_orthant_prec
+from .tiles import CayleyTile, Point, build_tile, simplex_points
 
 
 @dataclass(frozen=True)
@@ -45,7 +50,7 @@ class DiscreteSimplex:
         return simplex_size(self.n, self.d)
 
     def points(self) -> Iterator[Point]:
-        return islice(enumerate_orthant_prec(self.n), self.size)
+        return simplex_points(self.n, self.d)
 
 
 def simplex_size(n: int, d: int) -> int:
@@ -67,36 +72,39 @@ def _tile_of(lattice: IntegerLattice | CayleyTile) -> CayleyTile:
     return lattice if isinstance(lattice, CayleyTile) else build_tile(lattice)
 
 
-def covers_discrete(
-    n: int, d: int, lattice: IntegerLattice | CayleyTile
-) -> CoveringVerdict:
+def covers_discrete(lattice: IntegerLattice | CayleyTile, d: int) -> CoveringVerdict:
     """Decide whether the radius-d simplex plus the lattice covers Z^n.
 
     Covering holds iff the tile diameter is at most d.  On failure the
     witness is the scan-first tile point with norm above d: its coset is
-    unreached by any simplex translate.  ``lattice`` may be given as its
-    already built tile.
+    unreached by any simplex translate.
     """
-    if lattice.dim != n:
-        raise DimensionMismatch(f"lattice has dimension {lattice.dim}, not {n}")
     tile = _tile_of(lattice)
     diameter = tile.m_diameter
     if diameter <= d:
-        density = Fraction(simplex_size(n, d), tile.source_lattice.det)
+        density = Fraction(simplex_size(tile.dim, d), tile.source_lattice.det)
         return CoveringVerdict(True, density, None, diameter)
     witness = next(p for p in tile.points if sum(p) > d)
     return CoveringVerdict(False, None, witness, diameter)
 
 
-def discrete_density(n: int, d: int, lattice: IntegerLattice) -> Fraction:
-    """Exact covering density C(d+n, n) / det, reduced."""
-    verdict = covers_discrete(n, d, lattice)
+def _covering(lattice: IntegerLattice | CayleyTile, d: int) -> tuple[CayleyTile, Fraction]:
+    """The tile and the covering density at radius d; raises
+    :class:`NotACovering`, with the unreached tile point as witness, when
+    the radius-d simplex does not cover Z^n under the lattice."""
+    tile = _tile_of(lattice)
+    verdict = covers_discrete(tile, d)
     if not verdict.covered:
         raise NotACovering(
-            f"simplex of radius {d} does not cover Z^{n} under this lattice",
+            f"simplex of radius {d} does not cover Z^{tile.dim} under this lattice",
             witness=verdict.witness,
         )
-    return verdict.density
+    return tile, verdict.density
+
+
+def discrete_density(lattice: IntegerLattice | CayleyTile, d: int) -> Fraction:
+    """Exact covering density C(d+n, n) / det, reduced."""
+    return _covering(lattice, d)[1]
 
 
 @dataclass(frozen=True)
@@ -105,7 +113,7 @@ class ContinuousLift:
     continuous_density: Fraction
 
 
-def lift_to_continuous(n: int, d: int, lattice: IntegerLattice) -> ContinuousLift:
+def lift_to_continuous(lattice: IntegerLattice | CayleyTile, d: int) -> ContinuousLift:
     """Continuous covering implied by a discrete one: radius grows to d+n.
 
     The lift is tight: the solid radius-D simplex covers R^n under L iff
@@ -117,14 +125,10 @@ def lift_to_continuous(n: int, d: int, lattice: IntegerLattice) -> ContinuousLif
     The reported density is vol(solid simplex of radius d+n) / det as an
     exact rational, i.e. (d+n)^n / (n! * det).
     """
-    verdict = covers_discrete(n, d, lattice)
-    if not verdict.covered:
-        raise NotACovering(
-            f"simplex of radius {d} does not cover Z^{n} under this lattice",
-            witness=verdict.witness,
-        )
+    tile, _ = _covering(lattice, d)
+    n = tile.dim
     D = d + n
-    return ContinuousLift(D, Fraction(D**n, math.factorial(n) * lattice.det))
+    return ContinuousLift(D, Fraction(D**n, math.factorial(n) * tile.source_lattice.det))
 
 
 def round_scaled_lattice(real_basis: Sequence[Sequence[float]], k: float) -> IntegerLattice:
@@ -139,10 +143,7 @@ def round_scaled_lattice(real_basis: Sequence[Sequence[float]], k: float) -> Int
 
 
 def continuous_cover_falsify(
-    n: int,
-    D,
-    lattice: IntegerLattice | CayleyTile,
-    resolution: int = 4,
+    lattice: IntegerLattice | CayleyTile, D, resolution: int = 4
 ) -> Optional[tuple[Fraction, ...]]:
     """First point of the grid (1/resolution) * Z^n in the fundamental box
     that no simplex translate covers, or None.
@@ -153,16 +154,13 @@ def continuous_cover_falsify(
     vector v with z + t - v >= 0 has z - v >= 0 (module docstring).  As
     sum(t) < n, L covers R^n iff D >= d(L) + n; there None is returned at
     once and is a proof.  A returned point is a proof of non-covering.
-    ``lattice`` may be given as its already built tile.
     """
-    if lattice.dim != n:
-        raise DimensionMismatch(f"lattice has dimension {lattice.dim}, not {n}")
     if resolution < 1:
         raise ValueError("resolution must be a positive integer")
     D = Fraction(D)
     tile = _tile_of(lattice)
     lattice = tile.source_lattice
-    if D >= tile.m_diameter + n:
+    if D >= tile.m_diameter + tile.dim:
         return None
     # keyed by the coset's point in the fundamental box; grid points are
     # (z * r + k) / r with 0 <= k < r, decided in integers

@@ -258,6 +258,9 @@ def lattice_from_json_dict(obj: dict) -> IntegerLattice:
     except (KeyError, TypeError) as exc:
         raise ValueError("lattice JSON must have keys 'n' and 'basis'") from exc
     lattice = hnf_normalize(rows)
+    # JSON's true and false pass operator.index as 1 and 0
+    if isinstance(n, bool) or any(isinstance(v, bool) for row in rows for v in row):
+        raise TypeError("lattice JSON holds a boolean where an integer belongs")
     if lattice.dim != operator.index(n):
         raise DimensionMismatch(f"basis rows have length {lattice.dim}, not {n}")
     return lattice

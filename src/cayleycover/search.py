@@ -46,9 +46,9 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from .covering import simplex_size
 from .errors import CapTooSmall
 # enumerate_sublattices is not called here: it fixes the order the search reproduces
 from .lattices import (
@@ -57,7 +57,7 @@ from .lattices import (
     divisors,
     enumerate_sublattices,
 )
-from .tiles import enumerate_orthant_prec, fits_diameter
+from .tiles import fits_diameter, simplex_points
 
 if TYPE_CHECKING:
     import numpy as np
@@ -214,8 +214,7 @@ def _rank(diag: Sequence[int], key) -> int:
 def _simplex(n: int, d: int) -> np.ndarray:
     """The C(d+n, n) points of the radius-d simplex, one per row."""
     import numpy as np
-    points = list(islice(enumerate_orthant_prec(n), math.comb(d + n, n)))
-    return np.array(points, dtype=np.int64).reshape(len(points), n)
+    return np.array(list(simplex_points(n, d)), dtype=np.int64)
 
 
 def _fit_rows(diag: Sequence[int], cells: np.ndarray, simplex: np.ndarray) -> np.ndarray:
@@ -301,7 +300,7 @@ def brute_force_f(n: int, d: int, index_cap: Optional[int] = None) -> SearchRepo
     """
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
-    binomial_cap = math.comb(d + n, n)
+    binomial_cap = simplex_size(n, d)
     paper_upper = fn_upper_bound(n, d) if n >= 2 else Fraction(d + 1)
     default_cap = min(binomial_cap, math.floor(paper_upper))
     if index_cap is None:
@@ -344,6 +343,6 @@ def density_trend(
     rows = []
     for d in d_values:
         report = brute_force_f(n, d, index_cap=index_cap)
-        density = Fraction(math.comb(d + n, n), report.f_value)
+        density = Fraction(simplex_size(n, d), report.f_value)
         rows.append((d, density, report.witness))
     return rows

@@ -18,10 +18,9 @@ never loads it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, islice
+from itertools import count
 from typing import Iterator, Optional, Sequence
 
 from .errors import MultipleMinimalNotches, NotACovering
@@ -119,6 +118,13 @@ def enumerate_orthant_prec(n: int) -> Iterator[Point]:
     if n < 1:
         raise ValueError("need n >= 1")
     for s in count(0):
+        yield from _compositions(s, n)
+
+
+def simplex_points(n: int, d: int) -> Iterator[Point]:
+    """The radius-d simplex {x >= 0, sum(x) <= d}, shells 0..d of the graded
+    order: the first C(d+n, n) points of ``enumerate_orthant_prec(n)``."""
+    for s in range(d + 1):
         yield from _compositions(s, n)
 
 
@@ -267,8 +273,7 @@ def tile_from_difference(lattice: IntegerLattice, d: int) -> frozenset[Point]:
         covered = np.zeros((d + 1,) * n, dtype=bool)
         for v in clamped:
             covered[tuple(slice(x, None) for x in v)] = True
-        simplex = islice(enumerate_orthant_prec(n), math.comb(d + n, n))
-        result = frozenset(p for p in simplex if not covered[p])
+        result = frozenset(p for p in simplex_points(n, d) if not covered[p])
     if len(result) != lattice.det:
         base = build_tile(lattice)
         if d < base.m_diameter:

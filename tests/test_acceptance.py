@@ -235,11 +235,11 @@ def test_criterion_9_continuous_falsifier():
         cap = 40 if n == 2 else 25
         lattice = make_corpus(rng.randint(0, 10**9), [(n, cap, 1)])[0]
         d = build_tile(lattice).m_diameter
-        ok &= continuous_cover_falsify(n, d + n, lattice, 4) is None
+        ok &= continuous_cover_falsify(lattice, d + n, 4) is None
         checked += 1
 
     broken = hnf_normalize([(2, 0), (0, 2)])
-    witness = continuous_cover_falsify(2, 1, broken, 2)
+    witness = continuous_cover_falsify(broken, 1, 2)
     ok &= witness is not None
     if witness is not None:
         # non-coverage re-verified by direct enumeration of lattice vectors

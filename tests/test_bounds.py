@@ -77,7 +77,7 @@ def test_mc_integrand_matches_region_predicate():
             cfg = NotchConfig(d, v)
             expected = [float(d) - sum(p) if in_region_notch(p, cfg) else 0.0 for p in x.tolist()]
             assert np.where(near < float(v), base, 0.0).tolist() == expected
-            values = bounds._notch_values(float(d), float(v), s, mn)
+            values = base * (near < float(v))
             assert values.tolist() == expected and not np.signbit(values).any()
 
 
@@ -104,6 +104,13 @@ def test_mc_battery_draws_each_chunk_once(monkeypatch, samples):
     monkeypatch.setattr(bounds, "_philox", counting)
     bounds.bound_check_battery(Fraction(7, 3), method="mc", samples=samples)
     assert opened == list(range(math.ceil(samples / 65_536)))
+
+
+def _notch_cut(d, v, s, mn):
+    """The integrand at one v, cut from the shared region as the battery
+    cuts it."""
+    base, near = bounds._notch_region(d, s, mn)
+    return base * (near < v)
 
 
 def _sorted_spacings_estimate(dim, d, values_of, samples, seed):
@@ -133,8 +140,7 @@ def test_mc_loop_matches_sorted_spacings_reference():
             cfg = NotchConfig(d, v)
             est = integral_notch(cfg, samples=samples, seed=seed)
             expected = _sorted_spacings_estimate(
-                3, d, lambda x: bounds._notch_values(d, v, x.sum(axis=1), x.min(axis=1)),
-                samples, seed,
+                3, d, lambda x: _notch_cut(d, v, x.sum(axis=1), x.min(axis=1)), samples, seed
             )
             assert (est.value, est.std_error) == expected
             est = notch_region_volume_estimate(cfg, samples=samples, seed=seed)

@@ -37,6 +37,14 @@ def test_tile_ascii(lattice_file, capsys):
     assert out == "#v\n##\n##\n"
 
 
+def test_tile_has_no_json_flag(lattice_file, capsys):
+    # tile writes JSON unless --ascii is given; no flag asks for it
+    with pytest.raises(SystemExit) as err:
+        main(["tile", "--lattice", lattice_file, "--json"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
 def test_tile_json_roundtrip(lattice_file, capsys):
     assert main(["tile", "--lattice", lattice_file]) == 0
     record = json.loads(capsys.readouterr().out)
@@ -224,8 +232,8 @@ def test_verify_bounds_mc_golden_one_v_partial_chunk(capsys):
     assert captured.out == golden.read_text() and captured.err == ""
 
 
-# (golden file, lattice basis, arguments after --lattice): outputs pinned
-# byte for byte
+# (golden file, lattice basis, arguments before --lattice): outputs pinned
+# byte for byte; a query whose file is named *_fail_* exits 1
 GOLDEN_QUERIES = [
     ("tile_4d_index96_notch.json",
      [[12, 0, 0, 0], [4, 2, 0, 0], [3, 1, 4, 0], [9, 0, 1, 1]], ["tile"]),
@@ -233,6 +241,11 @@ GOLDEN_QUERIES = [
     # radius 13 is below the diameter 14; the witness has Fraction coordinates
     ("cover_continuous_fail_2d.json", [[12, 0], [8, 4]],
      ["cover", "--n", "2", "--d", "13", "--continuous", "--resolution", "3"]),
+    # radius 5 is below the diameter 6: no density, the unreached tile point
+    ("cover_fail_2d.json", [[9, 0], [4, 2]], ["cover", "--n", "2", "--d", "5"]),
+    # at the diameter 12 the lift to D = 15 covers R^3: a null witness
+    ("cover_continuous_pass_3d.json", [[6, 0, 0], [2, 5, 0], [1, 3, 4]],
+     ["cover", "--n", "3", "--d", "12", "--continuous"]),
 ]
 
 
@@ -242,7 +255,7 @@ def test_query_golden(name, basis, argv, tmp_path, capsys):
     path.write_text(json.dumps({"n": len(basis), "basis": basis}))
     code = main(argv + ["--lattice", str(path)])
     captured = capsys.readouterr()
-    assert code == (1 if "--continuous" in argv else 0)
+    assert code == (1 if "_fail_" in name else 0)
     assert captured.out == (GOLDEN / name).read_text() and captured.err == ""
 
 
@@ -439,6 +452,15 @@ def test_usage_error_exits_2(tmp_path, lattice_file, capsys):
     # deeper than the JSON decoder's recursion limit
     nested = tmp_path / "nested.json"
     nested.write_text("[" * 100_000 + "]" * 100_000)
+    # JSON booleans are not integers, though operator.index takes them
+    booleans = []
+    for i, lattice in enumerate((
+        {"n": 2, "basis": [[True, 0], [False, True]]},  # would tile as the identity
+        {"n": True, "basis": [[2]]},  # would be read as n = 1
+        {"n": 2, "basis": [[5, 0], [True, 1]]},
+    )):
+        booleans.append(tmp_path / f"boolean{i}.json")
+        booleans[-1].write_text(json.dumps(lattice))
     # each is reported in one line on stderr before any compute
     for argv in (
         ["search-f", "--n", "0", "--d", "2"],
@@ -454,6 +476,8 @@ def test_usage_error_exits_2(tmp_path, lattice_file, capsys):
         ["cover", "--n", "2", "--d", "1", "--lattice", str(malformed)],
         ["tile", "--lattice", str(nested)],
         ["cover", "--n", "2", "--d", "1", "--lattice", str(nested)],
+        *(["tile", "--lattice", str(path)] for path in booleans),
+        *(["cover", "--n", "2", "--d", "1", "--lattice", str(path)] for path in booleans),
         ["verify-bounds", "--samples", "0"],
         ["verify-bounds", "--method", "quad", "--nodes", "0"],
         ["verify-bounds", "--d-star", "0"],
@@ -474,6 +498,13 @@ def test_usage_error_exits_2(tmp_path, lattice_file, capsys):
         ["theta-bounds", "--n-max", "-3", "--csv"],
     ):
         assert_usage_error(argv)
+
+    for path in booleans:
+        assert main(["tile", "--lattice", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} is not a lattice file: "
+            "lattice JSON holds a boolean where an integer belongs\n"
+        )
 
     # values the argument parser rejects: usage line, then one error line
     for argv in (

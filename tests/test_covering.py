@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from cayleycover import (
     continuous_cover_falsify,
     covers_discrete,
     discrete_density,
+    enumerate_orthant_prec,
     f3_upper_bound,
     f4_upper_bound,
     hnf_normalize,
@@ -25,6 +27,7 @@ from cayleycover import (
     tile_from_difference,
 )
 from cayleycover import tiles
+from cayleycover.tiles import simplex_points
 from conftest import (
     grid_cover_falsify,
     grid_point_covered,
@@ -55,66 +58,95 @@ def test_discrete_simplex_points():
     assert all(sum(p) <= 2 for p in pts)
 
 
+def test_simplex_points_are_the_first_simplex_size_points_of_the_order():
+    for n in range(1, 6):
+        for d in range(7):
+            expected = list(islice(enumerate_orthant_prec(n), simplex_size(n, d)))
+            assert list(simplex_points(n, d)) == expected, (n, d)
+
+
+def _outcome(query, *args):
+    """A query's value, or the type, message and witness of what it raised."""
+    try:
+        return query(*args)
+    except NotACovering as exc:
+        return NotACovering, str(exc), exc.witness
+
+
+def test_covering_queries_agree_on_lattice_and_tile():
+    for lat in make_corpus(48, [(1, 12, 4), (2, 40, 12), (3, 30, 10), (4, 20, 6)]):
+        tile = build_tile(lat)
+        n, diameter = lat.dim, tile.m_diameter
+        for d in {max(0, diameter - 1), diameter, diameter + 2}:
+            for query in (covers_discrete, discrete_density, lift_to_continuous):
+                assert _outcome(query, lat, d) == _outcome(query, tile, d), (query, lat, d)
+        for D in (diameter + n, diameter + n - Fraction(1, 2), Fraction(diameter, 2)):
+            for r in (1, 2):
+                assert continuous_cover_falsify(lat, D, r) == continuous_cover_falsify(
+                    tile, D, r
+                ), (lat, D, r)
+
+
 def test_covers_discrete_examples():
-    verdict = covers_discrete(2, 2, L5)
+    verdict = covers_discrete(L5, 2)
     assert verdict.covered and verdict.density == Fraction(6, 5)
     assert verdict.tile_diameter == 2 and verdict.witness is None
 
-    verdict = covers_discrete(2, 1, L5)
+    verdict = covers_discrete(L5, 1)
     assert not verdict.covered and verdict.density is None
     assert verdict.witness == (0, 2)
 
     for d in range(4):
-        verdict = covers_discrete(2, d, I2)
+        verdict = covers_discrete(I2, d)
         assert verdict.covered
         assert verdict.density == simplex_size(2, d)
 
 
 def test_witness_coset_is_unreached():
     # no simplex point may share the witness's coset
-    cases = [(2, 1, L5), (2, 1, hnf_normalize([(4, 0), (0, 3)]))]
+    cases = [(1, L5), (1, hnf_normalize([(4, 0), (0, 3)]))]
     for lat in make_corpus(40, [(2, 50, 10), (3, 40, 10)]):
         diameter = build_tile(lat).m_diameter
         if diameter > 0:
-            cases.append((lat.dim, diameter - 1, lat))
-    for n, d, lat in cases:
-        verdict = covers_discrete(n, d, lat)
+            cases.append((diameter - 1, lat))
+    for d, lat in cases:
+        verdict = covers_discrete(lat, d)
         if verdict.covered:
             continue
         target = reduce_mod(lat, verdict.witness)
         assert all(
-            reduce_mod(lat, p) != target for p in simplex_points_brute(n, d)
+            reduce_mod(lat, p) != target for p in simplex_points_brute(lat.dim, d)
         )
 
 
 def test_covered_is_monotone_in_d():
     for lat in make_corpus(41, [(2, 40, 10), (3, 30, 10)]):
         diameter = build_tile(lat).m_diameter
-        assert not covers_discrete(lat.dim, max(0, diameter - 1), lat).covered or diameter == 0
+        assert not covers_discrete(lat, max(0, diameter - 1)).covered or diameter == 0
         for d in (diameter, diameter + 1, diameter + 3):
-            assert covers_discrete(lat.dim, d, lat).covered
+            assert covers_discrete(lat, d).covered
 
 
 def test_density_examples_and_floor():
-    assert discrete_density(2, 2, L5) == Fraction(6, 5)
-    assert discrete_density(3, 4, hnf_normalize([(1, 0, 0), (0, 1, 0), (0, 0, 1)])) == simplex_size(3, 4)
+    assert discrete_density(L5, 2) == Fraction(6, 5)
+    assert discrete_density(hnf_normalize([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), 4) == simplex_size(3, 4)
     best10 = brute_force_f(2, 10)
     assert best10.f_value == 48
-    assert discrete_density(2, 10, best10.witness) == Fraction(66, 48)
+    assert discrete_density(best10.witness, 10) == Fraction(66, 48)
     with pytest.raises(NotACovering):
-        discrete_density(2, 1, L5)
+        discrete_density(L5, 1)
 
 
 def test_density_at_least_one_when_covered():
     for lat in make_corpus(42, [(2, 50, 15), (3, 40, 15), (4, 25, 8)]):
         d = build_tile(lat).m_diameter
-        assert discrete_density(lat.dim, d, lat) >= 1
+        assert discrete_density(lat, d) >= 1
 
 
 def test_finite_d_density_inequalities():
     for lat in make_corpus(43, [(3, 60, 20), (4, 30, 12)]):
         d = build_tile(lat).m_diameter
-        density = discrete_density(lat.dim, d, lat)
+        density = discrete_density(lat, d)
         if lat.dim == 3:
             assert density >= math.comb(d + 3, 3) / f3_upper_bound(d)
         else:
@@ -122,18 +154,18 @@ def test_finite_d_density_inequalities():
 
 
 def test_lift_examples():
-    lift = lift_to_continuous(2, 2, L5)
+    lift = lift_to_continuous(L5, 2)
     assert lift.D == 4 and lift.continuous_density == Fraction(8, 5)
     for n in (2, 3, 4):
         identity = hnf_normalize([[int(i == j) for j in range(n)] for i in range(n)])
-        lift = lift_to_continuous(n, 0, identity)
+        lift = lift_to_continuous(identity, 0)
         assert lift.D == n
         assert lift.continuous_density == Fraction(n**n, math.factorial(n))
     i3 = hnf_normalize([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     for d in (1, 2, 5):
-        assert lift_to_continuous(3, d, i3).continuous_density == Fraction((d + 3) ** 3, 6)
+        assert lift_to_continuous(i3, d).continuous_density == Fraction((d + 3) ** 3, 6)
     with pytest.raises(NotACovering):
-        lift_to_continuous(2, 1, L5)
+        lift_to_continuous(L5, 1)
 
 
 def test_round_scaled_lattice_examples():
@@ -177,12 +209,12 @@ def test_round_scaled_determinant_trend():
 def test_falsifier_identity_and_lifted_instances():
     for n in (2, 3):
         identity = hnf_normalize([[int(i == j) for j in range(n)] for i in range(n)])
-        assert continuous_cover_falsify(n, n, identity, 4) is None
-    assert continuous_cover_falsify(2, 4, L5, 4) is None
+        assert continuous_cover_falsify(identity, n, 4) is None
+    assert continuous_cover_falsify(L5, 4, 4) is None
 
 
 def test_falsifier_broken_instance():
-    witness = continuous_cover_falsify(2, 1, L22, 2)
+    witness = continuous_cover_falsify(L22, 1, 2)
     assert witness == (Fraction(0), Fraction(3, 2))
     # re-verify by direct enumeration of every candidate lattice vector
     D = Fraction(1)
@@ -195,7 +227,7 @@ def test_falsifier_broken_instance():
 
 def test_falsifier_resolution_validation():
     with pytest.raises(ValueError):
-        continuous_cover_falsify(2, 2, L22, 0)
+        continuous_cover_falsify(L22, 2, 0)
 
 
 def test_falsifier_matches_grid_oracle():
@@ -208,7 +240,7 @@ def test_falsifier_matches_grid_oracle():
         for D in radii:
             r = rng.randint(1, 4)
             expected = grid_cover_falsify(n, D, lat, r)
-            assert continuous_cover_falsify(n, D, lat, r) == expected, (lat, D, r)
+            assert continuous_cover_falsify(lat, D, r) == expected, (lat, D, r)
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -220,15 +252,15 @@ def test_falsifier_matches_grid_oracle():
 def test_falsifier_matches_grid_oracle_on_drawn_cases(lat, quarters, r):
     n = lat.dim
     D = build_tile(lat).m_diameter + n + Fraction(quarters, 4)
-    assert continuous_cover_falsify(n, D, lat, r) == grid_cover_falsify(n, D, lat, r)
+    assert continuous_cover_falsify(lat, D, r) == grid_cover_falsify(n, D, lat, r)
 
 
 def test_continuous_cover_threshold_is_diameter_plus_n():
     # L + solid radius-D simplex covers R^n iff D >= d(L) + n: the lift is tight
     for lat in make_corpus(46, [(2, 30, 12)]) + [L5, L22, I2]:
         top = build_tile(lat).m_diameter + 2
-        assert continuous_cover_falsify(2, top, lat, 17) is None
-        witness = continuous_cover_falsify(2, top - Fraction(1, 8), lat, 17)
+        assert continuous_cover_falsify(lat, top, 17) is None
+        witness = continuous_cover_falsify(lat, top - Fraction(1, 8), 17)
         assert witness is not None
         assert not grid_point_covered(witness, top - Fraction(1, 8), lat)
 
@@ -241,9 +273,9 @@ def test_covering_queries_skip_notch_detection(monkeypatch):
     for lat in (L5, L22, I2, *make_corpus(47, [(2, 30, 5), (3, 20, 5)])):
         n = lat.dim
         d = build_tile(lat).m_diameter
-        assert covers_discrete(n, d, lat).covered
+        assert covers_discrete(lat, d).covered
         assert len(tile_from_difference(lat, d)) == lat.det
-        assert continuous_cover_falsify(n, d + n, lat, 2) is None
-        continuous_cover_falsify(n, d + n - 1, lat, 2)
+        assert continuous_cover_falsify(lat, d + n, 2) is None
+        continuous_cover_falsify(lat, d + n - 1, 2)
     monkeypatch.undo()
     assert build_tile(L5).notch == (1, 2)
