@@ -131,10 +131,13 @@ def _notch_region(d: float, s: np.ndarray, mn: np.ndarray) -> tuple[np.ndarray, 
     only in where they cut the second: the integrand at v is
     ``base * (near < v)``.  The region values are finite and >= +0.0, so
     that product is ``np.where(near < v, base, 0.0)`` bit for bit, with no
-    branch."""
+    branch.  The same holds for ``base`` itself, ``rest`` times the region
+    mask: off the region, where ``rest`` may be negative, the product is
+    -0.0, and adding +0.0 turns it into +0.0 and leaves every other value
+    as it is, so a chunk with no point in the region sums to 0.0."""
     import numpy as np
     rest = d - s
-    return np.where((s <= d) & (rest <= mn), rest, 0.0), np.minimum(mn, rest)
+    return rest * ((s <= d) & (rest <= mn)) + 0.0, np.minimum(mn, rest)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,75 @@ def reduce_mod(lattice: IntegerLattice, x: Sequence[int]) -> tuple[int, ...]:
     return tuple(r)
 
 
+def coset_character(
+    lattice: IntegerLattice,
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The quotient map Z^n -> Z^n/L = Z/s_1 + ... + Z/s_m as
+    ``(factors, images)``: the invariant factors s_1 | s_2 | ... | s_m, all
+    above 1 (none when det is 1), and for each i the image of e_i, a tuple
+    of residues in ``[0, s_k)``.
+
+    The map is a homomorphism, so x and y lie in one coset exactly when
+    ``sum(x[i] * images[i][k])`` and ``sum(y[i] * images[i][k])`` agree
+    modulo s_k for every k; and the product of the factors is det.
+
+    Let F be the indices with diagonal entry above 1, K = |F| <= log2 det.
+    A row i outside F is e_i plus entries in the columns of F only (an
+    entry below a diagonal 1 is reduced to 0), so e_i is congruent to
+    minus those entries, and Z^n/L is Z^F modulo the K x K block M of the
+    rows and columns of F.  Row and column operations bring M to Smith form
+    ``U M V = diag(1, ..., 1, s_1, ..., s_m)``; then x in Z^F lies in the
+    row lattice of M iff ``x V`` does in that of the diagonal, i.e. iff
+    ``(x V)_k`` vanishes mod each s_k.  So e_j (j in F) maps to row j of V
+    read mod the factors.  Only V is kept, and the cost is O(K^3 + nK).
+    """
+    basis = lattice.basis
+    free = [j for j in range(lattice.dim) if basis[j][j] > 1]
+    k = len(free)
+    a = [[basis[i][j] for j in free] for i in free]
+    v = [[int(i == j) for j in range(k)] for i in range(k)]
+    for t in range(k):
+        while True:
+            _, i, j = min(
+                (abs(a[i][j]), i, j) for i in range(t, k) for j in range(t, k) if a[i][j]
+            )
+            a[t], a[i] = a[i], a[t]
+            for row in a + v:
+                row[t], row[j] = row[j], row[t]
+            p = a[t][t]
+            for i in range(t + 1, k):
+                q = a[i][t] // p
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, k):
+                q = a[t][j] // p
+                if q:
+                    for row in a + v:  # column j -= q column t, in M and V
+                        row[j] -= q * row[t]
+            if any(a[i][t] for i in range(t + 1, k)) or any(a[t][t + 1 :]):
+                continue  # a remainder below |p|: pivot on it
+            bad = next(
+                (i for i in range(t + 1, k) if any(x % p for x in a[i][t + 1 :])), None
+            )
+            if bad is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]  # fold in a row p does not divide
+
+    big = [t for t in range(k) if abs(a[t][t]) > 1]
+    factors = tuple(abs(a[t][t]) for t in big)
+    image_of_free = {j: [v[f][t] for t in big] for f, j in enumerate(free)}
+    images = []
+    for i, row in enumerate(basis):
+        image = image_of_free.get(i)
+        if image is None:
+            image = [
+                -sum(row[j] * image_of_free[j][c] for j in free if j < i)
+                for c in range(len(big))
+            ]
+        images.append(tuple(x % s for x, s in zip(image, factors)))
+    return factors, tuple(images)
+
+
 def lattice_points_in_difference_body(
     lattice: IntegerLattice, d: int
 ) -> list[tuple[int, ...]]:

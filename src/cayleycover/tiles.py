@@ -8,23 +8,33 @@ the diameter of the Cayley digraph of the quotient group with the standard
 generators, which is what the covering and search modules consume.
 
 The scan (``_scan``) is one frontier scan in Python integers, with no size
-limit: it grows each shell of the tile from the one before and keeps one
-set of seen coset residues.  It builds every tile and is the oracle for the
-search's batched fit test, which counts residues of the radius-d simplex in
-numpy (see ``search``).  Here numpy is imported only by
+limit: it grows each shell of the tile from the one before.  The quotient
+map Z^n -> Z^n/L is a homomorphism, which ``lattices.coset_character``
+gives as invariant factors and the images of the e_i; so each candidate is
+one integer, its coordinates in the top digits and one field per
+invariant factor below them, a step ``t -> t + e_i`` is one addition, and
+its coset is read with one ``%`` per factor.  It builds every tile and is
+the oracle for the search's batched fit test, which counts residues of the
+radius-d simplex in numpy (see ``search``).  Here numpy is imported only by
 ``tile_from_difference``, for its cone mask, so a tile or covering query
 never loads it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
 from typing import Iterator, Optional, Sequence
 
 from .errors import MultipleMinimalNotches, NotACovering
-from .lattices import IntegerLattice, lattice_points_in_difference_body, reduce_mod
+from .lattices import (
+    IntegerLattice,
+    coset_character,
+    lattice_points_in_difference_body,
+    reduce_mod,
+)
 
 Point = tuple[int, ...]
 
@@ -44,8 +54,8 @@ def _scan(lattice: IntegerLattice, prune: Optional[int]) -> Optional[tuple[Point
     The scan grows the tile one shell of constant norm at a time: the
     candidates for shell s are the points ``t + e_i`` for t a tile point of
     shell s - 1 (the origin for shell 0), taken in lexicographic order, and
-    it keeps each candidate whose coset (``reduce_mod`` residue) is new.
-    This is the graded-lex scan of the whole orthant, because
+    it keeps each candidate whose coset is new.  This is the graded-lex
+    scan of the whole orthant, because
 
     1. the tile T is downward closed: let q <= p componentwise with q not
        in T, and let q' be the point of T in q's coset, which precedes q.
@@ -62,29 +72,75 @@ def _scan(lattice: IntegerLattice, prune: Optional[int]) -> Optional[tuple[Point
     3. a shell that adds no point while cosets are missing would leave T
        with no point of that norm and hence, by 1, none above it, although
        T has a point in every coset.  It cannot happen for a correct
-       ``reduce_mod`` and raises ``RuntimeError``.
+       coset key and raises ``RuntimeError``.
+
+    A candidate p is one Python integer.  With ``coset_character`` giving
+    the factors s_1..s_m and the images c_i of the e_i, b the bit length of
+    det, o_1 = 1, o_(k+1) = o_k s_k det and top = o_(m+1), it is
+
+        P = top * sum_i p_i 2^(b (n-1-i))  +  sum_k o_k f_k,
+        f_k = sum_i p_i c_ik,
+
+    so the step to ``p + e_i`` adds a constant weight w_i, and a shell is
+    ``sorted({P + w_i})`` over the kept points of the shell before.
+
+    4. Bounds.  Shell s has candidates only when shells 0..s-1 each kept a
+       point and det was not reached, so s < det: every coordinate of a
+       candidate is below det < 2^b, and f_k <= s (s_k - 1) < s_k det.
+    5. Keys.  By 4, the fields below k sum to less than o_k and vanish under
+       ``P // o_k``, and they cannot carry into field k or into the top
+       part, which the sum of all fields stays below.  Every term above
+       field k is a multiple of o_(k+1) / o_k = s_k det.  So
+       ``P // o_k % s_k`` is f_k mod s_k, the k-th coordinate of p's image
+       in Z/s_1 + ... + Z/s_m; the key puts these in mixed radix, in
+       ``[0, det)``.  The character is a homomorphism with kernel L, so two
+       points have equal keys exactly when they lie in one coset.
+    6. Order.  By 4 and 5, ``P // top`` has the coordinates of p as its
+       base-2^b digits, most significant first.  Two points of one shell
+       differ in some coordinate, so integer order on a shell is
+       lexicographic order.
     """
     n = lattice.dim
     det = lattice.det
-    seen = set()
-    points: list[Point] = []
-    shell = [(0,) * n]
+    factors, images = coset_character(lattice)
+    offsets = [1]
+    for f in factors:
+        offsets.append(offsets[-1] * f * det)
+    top = offsets.pop()
+    b = det.bit_length()
+    shifts = [b * (n - 1 - i) for i in range(n)]
+    weights = [
+        (top << sh) + sum(map(operator.mul, image, offsets))
+        for sh, image in zip(shifts, images)
+    ]
+    low = factors[0] if factors else 1  # det 1: no factor, one coset
+    fields = []  # (offset, factor, mixed-radix place) of the other factors
+    place = low
+    for o, f in zip(offsets[1:], factors[1:]):
+        fields.append((o, f, place))
+        place *= f
+    seen = bytearray(det)
+    points: list[int] = []
+    shell = [0]
     for s in count(0):
         if prune is not None and s > prune:
             return None
+        keys = [P % low for P in shell]
+        for o, f, place in fields:
+            keys = [k + P // o % f * place for k, P in zip(keys, shell)]
         first = len(points)
-        for p in shell:
-            r = reduce_mod(lattice, p)
-            if r not in seen:
-                seen.add(r)
-                points.append(p)
-                if len(points) == det:
-                    return tuple(points)
+        for P, k in zip(shell, keys):
+            if not seen[k]:
+                seen[k] = 1
+                points.append(P)
+        if len(points) == det:
+            break
         if len(points) == first:
             raise RuntimeError(f"tile scan found no new coset in shell {s}")
-        shell = sorted(
-            {t[:i] + (t[i] + 1,) + t[i + 1 :] for t in points[first:] for i in range(n)}
-        )
+        shell = sorted({P + w for P in points[first:] for w in weights})
+    mask = (1 << b) - 1
+    tops = [P // top for P in points]
+    return tuple(zip(*[[t >> sh & mask for t in tops] for sh in shifts]))
 
 
 def prec_key(p: Sequence[int]) -> tuple[int, tuple[int, ...]]:

@@ -22,6 +22,7 @@ from cayleycover import (
     DimensionMismatch,
     IntegerLattice,
     enumerate_orthant_prec,
+    hnf_normalize,
     reduce_mod,
 )
 from cayleycover.lattices import divisors
@@ -107,6 +108,34 @@ def hnfs(draw, n, max_index):
         for i in range(n)
     ]
     return IntegerLattice(n, tuple(rows))
+
+
+# diagonals whose quotients are not cyclic, some with a diagonal 1 between
+# the factors and some with three factors sharing a prime; and det 1 at
+# n = 1 and 6
+NONCYCLIC_DIAGONALS = [
+    (2, 2, 6), (4, 1, 8, 3), (2, 4, 6), (3, 3, 3), (2, 2, 2, 2),
+    (1, 2, 1, 2, 1, 6), (1, 3, 1, 1, 3, 2), (1,), (1,) * 6,
+]
+
+
+@st.composite
+def mixed_diagonals(draw, diagonals=NONCYCLIC_DIAGONALS):
+    """Hypothesis strategy: the lattice spanned by the rows of diag(d) V,
+    for d drawn from ``diagonals`` and V a product of random elementary
+    column operations.  V is unimodular, so Z^n/L is Z/d_1 + ... + Z/d_n
+    whatever V is, while the HNF varies."""
+    diag = draw(st.sampled_from(diagonals))
+    n = len(diag)
+    rows = [[d if j == i else 0 for j in range(n)] for i, d in enumerate(diag)]
+    ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
+    for i, j, c in draw(st.lists(ops, max_size=8)):
+        for r in rows:
+            if c == 0:
+                r[i], r[j] = r[j], r[i]  # swap columns i and j
+            elif i != j:
+                r[j] += c * r[i]  # add c times column i to column j
+    return hnf_normalize(rows)
 
 
 def make_corpus(seed, spec):

@@ -79,6 +79,13 @@ def test_mc_integrand_matches_region_predicate():
             assert np.where(near < float(v), base, 0.0).tolist() == expected
             values = base * (near < float(v))
             assert values.tolist() == expected and not np.signbit(values).any()
+    # a chunk with no point in the region: every d* - sum(x) is negative,
+    # and a plain product by the mask would hold -0.0 there
+    x = 1.0 + rng.random((4000, 3))
+    base, near = bounds._notch_region(2.5, x.sum(axis=1), x.min(axis=1))
+    assert not np.signbit(base).any()
+    for values in (base, base * (near < 0.3)):
+        assert repr(float(values.sum())) == repr(float(np.square(values).sum())) == "0.0"
 
 
 def test_mc_3d_draw_is_a_prefix_of_the_4d_draw():

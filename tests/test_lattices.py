@@ -18,10 +18,16 @@ from cayleycover import (
     reduce_mod,
     same_coset,
 )
-from cayleycover.lattices import count_sublattices, lattice_points_in_difference_body
+from cayleycover.lattices import (
+    coset_character,
+    count_sublattices,
+    lattice_points_in_difference_body,
+)
 from conftest import (
     det_laplace,
+    hnfs,
     make_corpus,
+    mixed_diagonals,
     random_full_rank_matrix,
     sigma_divisors,
     unimodular_mix,
@@ -205,6 +211,47 @@ def test_same_coset():
     assert not same_coset(l5, (0, 0), (1, 0))
     with pytest.raises(DimensionMismatch):
         same_coset(l5, (0, 0), (1, 0, 0))
+
+
+def test_coset_character_examples():
+    assert coset_character(hnf_normalize(L5_ROWS)) == ((5,), ((1,), (2,)))
+    assert coset_character(hnf_normalize([(1, 0), (0, 1)])) == ((), ((), ()))
+    # Z/4 + Z/8 + Z/3 = Z/4 + Z/24
+    diag = hnf_normalize([(4, 0, 0, 0), (0, 1, 0, 0), (0, 0, 8, 0), (0, 0, 0, 3)])
+    assert coset_character(diag)[0] == (4, 24)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.one_of(st.integers(1, 6).flatmap(lambda n: hnfs(n, 210)), mixed_diagonals()),
+    st.integers(0, 2**32 - 1),
+)
+def test_coset_character_keys_are_cosets(lat, seed):
+    rng = random.Random(seed)
+    n = lat.dim
+    factors, images = coset_character(lat)
+    assert math.prod(factors) == lat.det
+    assert all(f > 1 for f in factors)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    assert len(images) == n
+    assert all(0 <= c < f for image in images for c, f in zip(image, factors))
+    assert all(len(image) == len(factors) for image in images)
+
+    def key(x):
+        return tuple(
+            sum(a * image[k] for a, image in zip(x, images)) % f
+            for k, f in enumerate(factors)
+        )
+
+    for _ in range(20):
+        x = [rng.randint(-40, 40) for _ in range(n)]
+        y = [rng.randint(-40, 40) for _ in range(n)]
+        if rng.random() < 0.5:  # y in x's coset
+            y = x
+            for row in lat.basis:
+                c = rng.randint(-3, 3)
+                y = [a + c * b for a, b in zip(y, row)]
+        assert (key(x) == key(y)) == same_coset(lat, x, y)
 
 
 def test_enumerate_counts():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cayleycover import (
     CayleyTile,
+    IntegerLattice,
     MultipleMinimalNotches,
     NotACovering,
     build_tile,
@@ -29,6 +30,7 @@ from conftest import (
     cube_positive_lattice_vectors,
     hnfs,
     make_corpus,
+    mixed_diagonals,
     simplex_points_brute,
 )
 
@@ -223,10 +225,15 @@ def test_tile_from_difference_examples():
 
 
 def test_incomplete_scan_raises(monkeypatch):
-    # every point reduces to the origin's coset, so shell 1 adds nothing
-    monkeypatch.setattr(tiles, "reduce_mod", lambda lattice, x: (0,) * lattice.dim)
+    # a character that sends every point to the origin's coset, so shell 1
+    # adds nothing
+    monkeypatch.setattr(
+        tiles, "coset_character", lambda lattice: ((lattice.det,), ((0,),) * lattice.dim)
+    )
     with pytest.raises(RuntimeError, match="no new coset in shell 1"):
         build_tile(L5)
+    with pytest.raises(RuntimeError, match="no new coset in shell 1"):
+        fits_diameter(L22, 3)
 
 
 def test_difference_set_size_is_checked(monkeypatch):
@@ -301,16 +308,39 @@ def test_fits_diameter_rejects_negative_radius():
 
 
 # index caps keep the graded-lex walk of the oracle short
-_SCAN_CAPS = {1: 30, 2: 60, 3: 40, 4: 24, 5: 16}
+_SCAN_CAPS = {1: 30, 2: 60, 3: 40, 4: 24, 5: 16, 6: 10}
 
 
-@settings(max_examples=200, deadline=None, database=None)
-@given(st.integers(1, 5).flatmap(lambda n: hnfs(n, _SCAN_CAPS[n])))
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.one_of(
+        st.integers(1, 6).flatmap(lambda n: hnfs(n, _SCAN_CAPS[n])), mixed_diagonals()
+    )
+)
 def test_frontier_scan_matches_graded_lex_definition(lat):
     tile = build_tile(lat)
     assert tile.points == brute_tile(lat)
+    assert tile.m_diameter == bfs_quotient_diameter(lat)
     for k in range(-1, tile.m_diameter + 2):
         assert fits_diameter(lat, k) == (k >= tile.m_diameter)
+
+
+def test_tile_in_high_dimension_with_few_free_cells():
+    # n = 300, det 6: the character works on the 2 x 2 block of the free
+    # rows, and every other e_i maps to minus its entries there
+    rng = random.Random(38)
+    n, free = 300, {41: 2, 229: 3}
+    rows = [
+        tuple(rng.randrange(free[j]) if j in free and j < i else 0 for j in range(n))
+        for i in range(n)
+    ]
+    lat = IntegerLattice(
+        n, tuple(r[:i] + (free.get(i, 1),) + r[i + 1 :] for i, r in enumerate(rows))
+    )
+    tile = build_tile(lat)
+    assert len(tile) == lat.det == 6
+    assert is_tiling(tile.points, lat)
+    assert tile.m_diameter == bfs_quotient_diameter(lat)
 
 
 def test_tile_properties_over_corpus():
