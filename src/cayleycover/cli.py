@@ -16,8 +16,11 @@ digits, rationals emitted as ``{"num": ..., "den": ...}`` objects.  The
 writer (``_dump_json``) is the CLI's own and byte-identical to
 ``json.dumps(sort_keys=True, indent=2)``: with ``indent`` set, the stdlib
 (Python 3.11) skips its C encoder for the pure-Python one, and that made
-JSON output the largest single cost of a ``tile`` query.  Lists of exact
-ints, the tile points and witness bases, are joined in one call each.
+JSON output the largest single cost of a ``tile`` query.  A list of exact
+ints is joined in one call.  A list of nonempty rows of one length, each a
+list or tuple of exact ints (the tile's points, a witness basis), is written
+with one ``%`` template applied to its flattened ints, so the writer makes no
+call per point.  Any other list is written item by item.
 
 ``main(argv)`` may be called any number of times in one process; every call
 parses with one shared parser, built on the first call (``_build_parser``).
@@ -36,6 +39,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from . import bounds
@@ -68,6 +72,11 @@ def _json_text(obj, pad: str) -> str:
             return "[]"
         if {int}.issuperset(map(type, obj)):
             items = map(int.__repr__, obj)
+        elif _is_int_rows(obj):
+            deeper = inner + "  "
+            row = f"[{deeper}{(',' + deeper).join(['%d'] * len(obj[0]))}{inner}]"
+            text = f"[{inner}{(',' + inner).join([row] * len(obj))}{pad}]"
+            return text % tuple(chain.from_iterable(obj))
         else:
             items = [_json_text(v, inner) for v in obj]
         return f"[{inner}{(',' + inner).join(items)}{pad}]"
@@ -93,6 +102,17 @@ def _json_text(obj, pad: str) -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _is_int_rows(obj) -> bool:
+    """True iff obj holds only list or tuple rows of one nonzero length,
+    whose items are all exact ints (not bools, not int subclasses)."""
+    return (
+        {list, tuple}.issuperset(map(type, obj))
+        and len(set(map(len, obj))) == 1
+        and len(obj[0]) > 0
+        and {int}.issuperset(map(type, chain.from_iterable(obj)))
+    )
 
 
 def _json_key(key) -> str:

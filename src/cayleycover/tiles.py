@@ -246,20 +246,16 @@ def find_notch(tile: CayleyTile) -> Optional[Point]:
        2, and t = p - e_0 is in T.
 
     The minimal candidates are therefore exactly the outer corners, all found
-    by walking ``p = t + e_0`` over T and checking ``p - e_k`` in T for
-    k = 1..n-1, with O(|T| n) set lookups.  Raises
-    :class:`MultipleMinimalNotches` when there are several, which would
-    contradict the single-notch structure of lattice tiles.
+    by set filters: start from the points ``t + e_0`` (t in T) not in T, and
+    for k = 1..n-1 keep those p with ``p - e_k`` in T, with O(|T| n) set
+    lookups.  Raises :class:`MultipleMinimalNotches` when there are
+    several, which would contradict the single-notch structure of lattice
+    tiles.
     """
-    n = tile.dim
     points = tile.point_set
-    minimal = set()
-    for t in tile.points:
-        p = (t[0] + 1,) + t[1:]
-        if p not in points and all(
-            p[:k] + (p[k] - 1,) + p[k + 1 :] in points for k in range(1, n)
-        ):
-            minimal.add(p)
+    minimal = {(t[0] + 1,) + t[1:] for t in tile.points} - points
+    for k in range(1, tile.dim):
+        minimal = {p for p in minimal if p[:k] + (p[k] - 1,) + p[k + 1 :] in points}
     if not minimal:
         return None
     if len(minimal) != 1:

@@ -10,8 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleycover import bounds, cli, covering, fn_upper_bound
+from cayleycover import bounds, build_tile, cli, covering, fn_upper_bound
 from cayleycover.cli import emit_report, main
+from cayleycover.lattices import lattice_to_json_dict
+from cayleycover.tiles import tile_to_json_dict
+
+from conftest import make_corpus
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -609,6 +613,33 @@ _EDGE_FLOATS = [
     0.1 + 0.2, 999999999999.5, 999999999999.4, 0.1234567890125, 1.0000000000005,
     123456789012.49, 9999999999999998.0, 1e16, 1e-4, 1e-5, 1.7976931348623157e308,
 ]
+_ROW_ITEMS = st.one_of(
+    st.integers(),
+    st.booleans(),
+    st.integers(4300, 4400).map(lambda k: (-1) ** k * (10**k + 7)),
+)
+
+
+@st.composite
+def _int_rows(draw):
+    """A list (or tuple) of rows: most often equal-length rows of exact ints,
+    as list or tuple, which the writer joins in one call; otherwise rows
+    holding a bool or of another length, or empty rows, which it must not."""
+    k = draw(st.integers(0, 4))
+    ints = st.lists(st.integers(), min_size=k, max_size=k)
+    huge = st.lists(_ROW_ITEMS, min_size=k, max_size=k)
+    rows = draw(
+        st.one_of(
+            st.lists(ints, min_size=1),
+            st.lists(
+                st.one_of(ints, ints.map(tuple), huge, st.lists(st.integers(), max_size=5)),
+                min_size=1,
+            ),
+        )
+    )
+    return tuple(rows) if draw(st.booleans()) else rows
+
+
 _LEAVES = st.one_of(
     st.none(),
     st.booleans(),
@@ -623,6 +654,7 @@ _LEAVES = st.one_of(
     st.text(),
     st.sampled_from(['"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é€\u2028😀", "\ud800"]),
     st.lists(st.one_of(st.integers(), st.booleans())),
+    _int_rows(),
 )
 _RECORDS = st.recursive(
     _LEAVES,
@@ -640,6 +672,16 @@ _RECORDS = st.recursive(
 def test_dump_json_matches_stdlib_writer(record):
     with cli._unlimited_int_digits():
         assert cli._dump_json(record) == reference_dump_json(record)
+
+
+def test_tile_json_in_dimension_4_matches_stdlib_writer(tmp_path, capsys):
+    for lattice in make_corpus(21, [(4, 96, 4)]):
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps(lattice_to_json_dict(lattice)))
+        assert main(["tile", "--lattice", str(path)]) == 0
+        record = tile_to_json_dict(build_tile(lattice))
+        assert len(record["points"]) == lattice.det
+        assert capsys.readouterr().out == reference_dump_json(record)
 
 
 def test_dump_json_dict_keys_as_stdlib():

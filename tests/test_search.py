@@ -391,3 +391,27 @@ def test_density_trend_values():
         assert 1 <= density < Fraction(3, 2)
         assert density <= Fraction(3, 2) + Fraction(1, d + 2)
         assert build_tile(witness).m_diameter <= d
+
+
+def gap_fits(n, d):
+    """The indices above the paper's cap floor(fn_upper_bound(n, d)) and at
+    most the binomial cap C(d+n, n) where some lattice fits, scanned like
+    the search scans an index; and the gap's size."""
+    simplex = search_mod._simplex(n, d)
+    gap = range(math.floor(fn_upper_bound(n, d)) + 1, len(simplex) + 1)
+    fits = [m for m in gap if search_mod._scan_index(n, d, m, simplex)[1] is not None]
+    return fits, len(gap)
+
+
+# where the paper's cap is below the binomial one, the default search starts
+# from it; a fit in the gap would mean a bug or a refuted theorem
+@pytest.mark.parametrize("n,d", [(2, d) for d in range(2, 21)] + [(3, 8)])
+def test_no_fit_between_the_paper_cap_and_the_binomial_cap(n, d):
+    fits, size = gap_fits(n, d)
+    assert size > 0 and fits == []
+
+
+@pytest.mark.slow
+def test_no_fit_between_the_paper_cap_and_the_binomial_cap_at_3_9():
+    fits, size = gap_fits(3, 9)
+    assert size == 13 and fits == []

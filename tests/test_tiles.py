@@ -127,7 +127,11 @@ _NOTCH_CAPS = {1: 40, 2: 60, 3: 40, 4: 24, 5: 16}
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(st.integers(1, 5).flatmap(lambda n: hnfs(n, _NOTCH_CAPS[n])))
+@given(
+    st.one_of(
+        st.integers(1, 5).flatmap(lambda n: hnfs(n, _NOTCH_CAPS[n])), mixed_diagonals()
+    )
+)
 def test_find_notch_matches_brute_force(lat):
     tile = build_tile(lat)
     _, minimal = brute_notch_candidates(tile.points, tile.dim)
