@@ -223,38 +223,107 @@ def coset_character(
     return factors, tuple(images)
 
 
-def lattice_points_in_difference_body(
+def _graded_positive(v: Sequence[int]) -> bool:
+    """Positivity in the graded order extended to Z^n.
+
+    Positive means coordinate sum above zero, or zero sum with the first
+    nonzero coordinate positive; exactly one of v, -v is positive for every
+    nonzero v.
+    """
+    s = sum(v)
+    if s != 0:
+        return s > 0
+    for a in v:
+        if a:
+            return a > 0
+    return False
+
+
+def graded_positive_points_in_difference_body(
     lattice: IntegerLattice, d: int
 ) -> list[tuple[int, ...]]:
-    """Lattice vectors v whose positive coordinates sum to at most d and
-    whose negative coordinates sum to at least -d.
+    """Graded-positive lattice vectors v whose positive coordinates sum to
+    at most d and whose negative coordinates sum to at least -d.
 
-    These are the differences of two points of the radius-d simplex.  Walks
-    integer combinations of the HNF rows from the last row to the first,
-    one row per pass over the partial vectors.  Rows below i have no entry
-    in column i, so choosing the coefficient of row i pins coordinate i;
-    with ``pos`` and ``neg`` the positive and negative sums of the
-    coordinates already pinned, coordinate i ranges over
-    ``[-(d - neg), d - pos]``.  The ranges are exact and the enumeration
-    complete, and only lattice vectors are ever visited.
+    The body holds the differences of two points of the radius-d simplex.
+    The walk takes integer combinations of the HNF rows from the last row to
+    the first, depth first over one coordinate list.  Rows below i have no
+    entry in column i, so choosing the coefficient z of row i pins
+    coordinate i.  With ``pos`` and ``neg`` the positive and negative sums of
+    the coordinates already pinned, coordinate i ranges over
+    ``[-(d - neg), d - pos]``.  The ranges are exact and the enumeration is
+    complete.  Only lattice vectors are visited, and a tuple is built only
+    for a completed vector.
+
+    The walk covers half the body:
+
+    1. the body is symmetric under v -> -v, as negation swaps the positive
+       and negative coordinate sums, and so is L;
+    2. so of each pair v, -v of nonzero body vectors, exactly one has its
+       highest-index nonzero coordinate positive, and the walk keeps only
+       that one;
+    3. coordinate j is ``a + z * row[j][j]``, where a collects the rows
+       after j, already chosen.  Every pinned coordinate is 0 exactly when
+       every z so far is 0: if some z is not, the last row with one pins its
+       coordinate to z times the diagonal, with a = 0.  So while every z so
+       far is 0, coordinate i has the sign of z, and the walk takes z >= 0.
+       The first positive z makes coordinate i the highest-index nonzero
+       one, and positive; after it the walk is unrestricted.  The vector
+       with every z equal to 0 is 0, and is skipped.
+
+    Each kept vector v is then emitted as whichever of v and -v is
+    graded-positive (see :func:`_graded_positive`), so every
+    graded-positive vector of the body appears exactly once.
     """
     n = lattice.dim
-    partial = [((0,) * n, 0, 0)]
-    for i in range(n - 1, -1, -1):
-        row = lattice.basis[i]
-        step, head = row[i], row[:i]
-        pinned = []
-        for acc, pos, neg in partial:
-            a, tail = acc[i], acc[i + 1 :]
-            for z in range(-((d - neg + a) // step), (d - pos - a) // step + 1):
+    basis = lattice.basis
+    # per row, the columns left of the diagonal where it has an entry
+    heads = [[(j, b) for j, b in enumerate(row[:i]) if b] for i, row in enumerate(basis)]
+    found: list[tuple[int, ...]] = []
+    acc = [0] * n
+
+    def walk(i: int, pos: int, neg: int, origin: bool) -> None:
+        step = basis[i][i]
+        a = acc[i]
+        lo = 0 if origin else -((d - neg + a) // step)
+        hi = (d - pos - a) // step
+        if lo > hi:
+            return
+        if i == 0:
+            total = pos - neg
+            for z in range(1 if origin else lo, hi + 1):  # origin: skip v = 0
                 x = a + z * step
-                pinned.append((
-                    tuple([c + z * b for c, b in zip(acc, head)]) + (x,) + tail,
-                    pos + x if x > 0 else pos,
-                    neg - x if x < 0 else neg,
-                ))
-        partial = pinned
-    return [v for v, _, _ in partial]
+                acc[0] = x
+                v = tuple(acc)
+                s = total + x
+                if s > 0 or (s == 0 and _graded_positive(v)):
+                    found.append(v)
+                else:
+                    found.append(tuple([-c for c in v]))
+            acc[0] = a
+            return
+        head = heads[i]
+        for j, b in head:
+            acc[j] += lo * b
+        for z in range(lo, hi + 1):
+            x = a + z * step
+            acc[i] = x
+            if x > 0:
+                walk(i - 1, pos + x, neg, origin and not z)
+            else:
+                walk(i - 1, pos, neg - x, origin and not z)
+            for j, b in head:
+                acc[j] += b
+        for j, b in head:
+            acc[j] -= (hi + 1) * b
+        acc[i] = a
+
+    if d >= 0:
+        walk(n - 1, 0, 0, True)
+    # walk refers to itself through its closure; dropping the name frees the
+    # closure now rather than at the next garbage collection
+    del walk
+    return found
 
 
 def same_coset(lattice: IntegerLattice, x: Sequence[int], y: Sequence[int]) -> bool:

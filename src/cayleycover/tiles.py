@@ -15,24 +15,29 @@ one integer, its coordinates in the top digits and one field per
 invariant factor below them, a step ``t -> t + e_i`` is one addition, and
 its coset is read with one ``%`` per factor.  It builds every tile and is
 the oracle for the search's batched fit test, which counts residues of the
-radius-d simplex in numpy (see ``search``).  Here numpy is imported only by
-``tile_from_difference``, for its cone mask, so a tile or covering query
-never loads it.
+radius-d simplex in numpy (see ``search``).
+
+``tile_from_difference`` is an independent construction of the same tile,
+as the simplex minus its translates by lattice vectors; it never uses the
+scan or the coset character.  It marks the cones those translates clip in a
+``(d+1)^n`` numpy mask, closed upward by a running OR along each axis, and
+reads the tile off the mask with one ``argwhere``.  Numpy is imported only
+there, so a tile or covering query never loads it.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import count
+from functools import cached_property, reduce
+from itertools import chain, count
 from typing import Iterator, Optional, Sequence
 
 from .errors import MultipleMinimalNotches, NotACovering
 from .lattices import (
     IntegerLattice,
     coset_character,
-    lattice_points_in_difference_body,
+    graded_positive_points_in_difference_body,
     reduce_mod,
 )
 
@@ -275,22 +280,6 @@ def is_tiling(points, lattice: IntegerLattice) -> bool:
     return len(residues) == len(pts)
 
 
-def _graded_positive(v: Sequence[int]) -> bool:
-    """Positivity in the graded order extended to Z^n.
-
-    Positive means coordinate sum above zero, or zero sum with the first
-    nonzero coordinate positive; exactly one of v, -v is positive for every
-    nonzero v.
-    """
-    s = sum(v)
-    if s != 0:
-        return s > 0
-    for a in v:
-        if a:
-            return a > 0
-    return False
-
-
 def tile_from_difference(lattice: IntegerLattice, d: int) -> frozenset[Point]:
     """Simplex of radius d minus its translates by graded-positive lattice
     vectors.
@@ -303,8 +292,14 @@ def tile_from_difference(lattice: IntegerLattice, d: int) -> frozenset[Point]:
     its positive part v+, so the subtraction reduces to marking cones.  The
     cone meets the simplex only if v+ lies in it, i.e. sum(v+) <= d; and a
     graded-positive v has sum(v) >= 0, so sum(v-) <= sum(v+) <= d.  The
-    vectors of :func:`lattice_points_in_difference_body` are therefore all
-    that can clip the simplex.
+    vectors of :func:`graded_positive_points_in_difference_body` are
+    therefore all that can clip the simplex.
+
+    The cones are marked in the box ``[0, d]^n``, which holds every v+:
+    each v+ is set, and a running OR along each axis in turn closes the set
+    upward, which is the union of the cones.  Setting the points of norm
+    above d too leaves the simplex minus the cones unset, and the result is
+    read off the mask with one ``argwhere``.
 
     A simplex point p is removed exactly when ``p - v`` is an orthant point
     for some graded-positive lattice vector v, i.e. when an earlier point
@@ -317,15 +312,21 @@ def tile_from_difference(lattice: IntegerLattice, d: int) -> frozenset[Point]:
     n = lattice.dim
     result: frozenset[Point] = frozenset()
     if d >= 0:
-        clamped = {
-            tuple(max(a, 0) for a in v)
-            for v in lattice_points_in_difference_body(lattice, d)
-            if _graded_positive(v)
-        }
+        vectors = graded_positive_points_in_difference_body(lattice, d)
+        corners = np.fromiter(
+            chain.from_iterable(vectors), dtype=np.intp, count=len(vectors) * n
+        ).reshape(-1, n)
+        np.maximum(corners, 0, out=corners)
         covered = np.zeros((d + 1,) * n, dtype=bool)
-        for v in clamped:
-            covered[tuple(slice(x, None) for x in v)] = True
-        result = frozenset(p for p in simplex_points(n, d) if not covered[p])
+        covered[tuple(corners.T)] = True
+        for axis in range(n):
+            moved = np.moveaxis(covered, axis, 0)  # a view of covered
+            for k in range(1, d + 1):
+                moved[k, ...] |= moved[k - 1, ...]
+        # norms in the box reach n * d, the bound that picks the dtype
+        coordinate = np.arange(d + 1, dtype=np.min_scalar_type(n * d))
+        covered |= reduce(np.add.outer, [coordinate] * n) > d
+        result = frozenset(map(tuple, np.argwhere(~covered).tolist()))
     if len(result) != lattice.det:
         base = build_tile(lattice)
         if d < base.m_diameter:

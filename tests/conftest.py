@@ -119,23 +119,31 @@ NONCYCLIC_DIAGONALS = [
 ]
 
 
-@st.composite
-def mixed_diagonals(draw, diagonals=NONCYCLIC_DIAGONALS):
-    """Hypothesis strategy: the lattice spanned by the rows of diag(d) V,
-    for d drawn from ``diagonals`` and V a product of random elementary
-    column operations.  V is unimodular, so Z^n/L is Z/d_1 + ... + Z/d_n
-    whatever V is, while the HNF varies."""
-    diag = draw(st.sampled_from(diagonals))
+def mix_columns(diag, ops):
+    """The lattice spanned by the rows of diag(d) V, V the product of the
+    elementary column operations ``ops``: (i, j, 0) swaps columns i and j,
+    and (i, j, c) with i != j adds c times column i to column j.  V is
+    unimodular, so Z^n/L is Z/d_1 + ... + Z/d_n whatever V is, while the
+    HNF varies."""
     n = len(diag)
     rows = [[d if j == i else 0 for j in range(n)] for i, d in enumerate(diag)]
-    ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
-    for i, j, c in draw(st.lists(ops, max_size=8)):
+    for i, j, c in ops:
         for r in rows:
             if c == 0:
-                r[i], r[j] = r[j], r[i]  # swap columns i and j
+                r[i], r[j] = r[j], r[i]
             elif i != j:
-                r[j] += c * r[i]  # add c times column i to column j
+                r[j] += c * r[i]
     return hnf_normalize(rows)
+
+
+@st.composite
+def mixed_diagonals(draw, diagonals=NONCYCLIC_DIAGONALS):
+    """Hypothesis strategy: :func:`mix_columns` of a diagonal drawn from
+    ``diagonals`` and up to 8 column operations with c in [-2, 2]."""
+    diag = draw(st.sampled_from(diagonals))
+    n = len(diag)
+    ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
+    return mix_columns(diag, draw(st.lists(ops, max_size=8)))
 
 
 def make_corpus(seed, spec):
@@ -211,19 +219,39 @@ def simplex_points_brute(n, d):
     }
 
 
-def cube_positive_lattice_vectors(lattice, d):
-    """Graded-positive lattice vectors in [-d, d]^n, by reducing every cube
-    point."""
+def graded_positive(v):
+    """Coordinate sum above zero, or zero sum with the first nonzero
+    coordinate positive."""
+    s = sum(v)
+    nonzero = [a for a in v if a]
+    return s > 0 or (s == 0 and bool(nonzero) and nonzero[0] > 0)
+
+
+def difference_body_by_cube(lattice, d):
+    """Lattice vectors in [-d, d]^n whose positive coordinates sum to at
+    most d and whose negative coordinates sum to at least -d, by reducing
+    every cube point."""
     n = lattice.dim
-    out = set()
-    for p in itertools.product(range(-d, d + 1), repeat=n):
-        if reduce_mod(lattice, p) != (0,) * n:
-            continue
-        s = sum(p)
-        nonzero = [a for a in p if a]
-        if s > 0 or (s == 0 and nonzero and nonzero[0] > 0):
-            out.add(p)
-    return out
+    return {
+        p for p in itertools.product(range(-d, d + 1), repeat=n)
+        if reduce_mod(lattice, p) == (0,) * n
+        and sum(a for a in p if a > 0) <= d
+        and sum(-a for a in p if a < 0) <= d
+    }
+
+
+def check_graded_positive_half(found, lattice, d):
+    """``found`` is the graded-positive half of the difference body: with
+    its negatives and 0 it is the cube's body, it holds no vector twice and
+    no v together with -v, and every vector in it is graded-positive."""
+    n = lattice.dim
+    kept = set(found)
+    negatives = {tuple(-a for a in v) for v in found}
+    assert len(kept) == len(found)
+    assert not kept & negatives
+    assert all(graded_positive(v) for v in found)
+    origin = {(0,) * n} if d >= 0 else set()
+    assert kept | negatives | origin == difference_body_by_cube(lattice, d)
 
 
 def _lattice_points_in_box(lattice, lo, hi):

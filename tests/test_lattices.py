@@ -21,9 +21,10 @@ from cayleycover import (
 from cayleycover.lattices import (
     coset_character,
     count_sublattices,
-    lattice_points_in_difference_body,
+    graded_positive_points_in_difference_body,
 )
 from conftest import (
+    check_graded_positive_half,
     det_laplace,
     hnfs,
     make_corpus,
@@ -336,18 +337,9 @@ def test_lattice_json_roundtrip():
 def test_lattice_points_in_difference_body_matches_reduction():
     rng = random.Random(17)
     for lat in make_corpus(18, [(1, 20, 5), (2, 40, 10), (3, 30, 10)]):
-        n = lat.dim
         d = rng.randint(-2, 7)
-        cube = itertools.product(range(-d, d + 1), repeat=n)
-        expected = {
-            p for p in cube
-            if reduce_mod(lat, p) == (0,) * n
-            and sum(max(a, 0) for a in p) <= d
-            and sum(max(-a, 0) for a in p) <= d
-        }
-        found = lattice_points_in_difference_body(lat, d)
-        assert len(found) == len(set(found))
-        assert set(found) == expected
+        found = graded_positive_points_in_difference_body(lat, d)
+        check_graded_positive_half(found, lat, d)
 
 
 @st.composite

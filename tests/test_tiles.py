@@ -20,16 +20,17 @@ from cayleycover import (
     tile_from_difference,
 )
 from cayleycover import tiles
-from cayleycover.lattices import lattice_points_in_difference_body
+from cayleycover.lattices import graded_positive_points_in_difference_body
 from cayleycover.tiles import prec_key
 
 from conftest import (
     bfs_quotient_diameter,
     brute_notch_candidates,
     brute_tile,
-    cube_positive_lattice_vectors,
+    check_graded_positive_half,
     hnfs,
     make_corpus,
+    mix_columns,
     mixed_diagonals,
     simplex_points_brute,
 )
@@ -219,13 +220,8 @@ def test_tile_from_difference_examples():
         d = build_tile(lat).m_diameter
         cases += [(lat, d), (lat, d + 1)]
     for lat, d in cases:
-        body = lattice_points_in_difference_body(lat, d)
-        vectors = [v for v in body if tiles._graded_positive(v)]
-        assert len(vectors) == len(set(vectors))
-        assert set(vectors) == {
-            v for v in cube_positive_lattice_vectors(lat, d)
-            if sum(max(a, 0) for a in v) <= d
-        }
+        found = graded_positive_points_in_difference_body(lat, d)
+        check_graded_positive_half(found, lat, d)
 
 
 def test_incomplete_scan_raises(monkeypatch):
@@ -241,8 +237,11 @@ def test_incomplete_scan_raises(monkeypatch):
 
 
 def test_difference_set_size_is_checked(monkeypatch):
-    monkeypatch.setattr(tiles, "lattice_points_in_difference_body", lambda lattice, d: [])
-    with pytest.raises(RuntimeError):
+    # no clipping vectors: the whole radius-2 simplex, 6 points, is left
+    monkeypatch.setattr(
+        tiles, "graded_positive_points_in_difference_body", lambda lattice, d: []
+    )
+    with pytest.raises(RuntimeError, match="has 6 points, expected det = 5"):
         tile_from_difference(L5, 2)
 
 
@@ -284,6 +283,44 @@ def test_tile_from_difference_never_scans_when_the_radius_covers(monkeypatch):
     monkeypatch.setattr(tiles, "_scan", no_scan)
     for lat, tile in expected:
         assert tile_from_difference(lat, tile.m_diameter) == tile.point_set
+
+
+def test_tile_from_difference_in_high_dimension():
+    # n = 6, det 200 and n = 7, det 300: cyclic quotients, and the quotients
+    # Z/2 + Z/10 + Z/10 and Z/5 + Z/6 + Z/10 mixed as in mixed_diagonals;
+    # two lattices each, of diameter at most 7, as the mask has (d+1)^n cells
+    rng = random.Random(40)
+    diagonals = [
+        (200,) + (1,) * 5, (300,) + (1,) * 6, (2, 1, 10, 1, 1, 10), (1, 5, 1, 6, 1, 1, 10)
+    ]
+    for diag in diagonals:
+        n = len(diag)
+        kept = 0
+        while kept < 2:
+            ops = [(rng.randrange(n), rng.randrange(n), rng.randint(-2, 2)) for _ in range(30)]
+            lat = mix_columns(diag, ops)
+            tile = build_tile(lat)
+            if tile.m_diameter > 7:
+                continue
+            kept += 1
+            assert len(tile) == lat.det
+            assert tile.m_diameter == bfs_quotient_diameter(lat)
+            assert tile_from_difference(lat, tile.m_diameter) == tile.point_set
+
+
+@pytest.mark.slow
+def test_tile_from_difference_at_n8():
+    # cyclic, det 400: row i >= 1 is e_i plus the entry below in column 0
+    column = (98, 206, 45, 248, 119, 388, 10)
+    rows = [(400,) + (0,) * 7] + [
+        (c,) + (0,) * (i - 1) + (1,) + (0,) * (7 - i) for i, c in enumerate(column, 1)
+    ]
+    lat = IntegerLattice(8, tuple(rows))
+    tile = build_tile(lat)
+    assert tile.m_diameter == bfs_quotient_diameter(lat) == 7
+    assert tile_from_difference(lat, 7) == tile.point_set
+    with pytest.raises(NotACovering):
+        tile_from_difference(lat, 6)
 
 
 def test_is_tiling():
