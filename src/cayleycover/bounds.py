@@ -34,7 +34,11 @@ estimators', comes from ``_region_estimates``.  By Monte Carlo each chunk's
 stream is drawn once, for all the notches and, in the battery, every
 pocket: the 3-D points are the first 3m of the 4m doubles the 4-D points
 take, exactly what a 3-D pass alone draws, so each battery estimate
-equals its public estimator's.
+equals its public estimator's.  The chunks run on one worker thread per
+available core, and the estimates are the same bits at any core count:
+the streams open in chunk order, one worker reduces each chunk whole with
+the serial sequence of ufuncs, and ``math.fsum`` combines the chunk sums
+exactly, so no order of the chunks can move an estimate.
 Only the Monte-Carlo functions use numpy, and they import it when they run:
 the exact checks and the quadrature never load it.
 """
@@ -42,6 +46,8 @@ the exact checks and the quadrature never load it.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
@@ -183,6 +189,14 @@ def _sums_and_minima(u: np.ndarray, d: float, buf: np.ndarray, with_sums: bool):
     return s, x[0]
 
 
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _mc_over_simplex(
     d_star, ws, vs, samples, seed
 ) -> tuple[list[IntegralEstimate], list[IntegralEstimate]]:
@@ -200,30 +214,74 @@ def _mc_over_simplex(
     a pocket's sum of values and of squares are both its count of hits.
     Per estimate, chunk sums are combined with exact float summation and
     scaled by the simplex volume.
+
+    The chunks run on one worker per available core, at most one per
+    chunk; the calling thread is one of them, and the only one on a single
+    core.  The outputs are the same bits at any worker count:
+
+    - Workers take chunks from one shared iterator and open each chunk's
+      stream under a lock, so the streams open in chunk order.
+    - One worker reduces a chunk whole, in its own buffer, by the same
+      ufuncs in the same order, so each chunk's sums are the serial ones.
+    - ``math.fsum`` rounds the exact sum of its inputs once, so no order of
+      the chunks can move an estimate; the sums are still stored by chunk.
+
+    Every worker has stopped when the call returns.  After a chunk raises,
+    no worker takes another, and the exception of the lowest failed chunk,
+    the one the serial loop would meet first, is raised again unchanged.
     """
     import numpy as np
     if samples < 1:
         raise BadSampleCount(f"need at least one sample, got {samples}")
     d = float(d_star)
     width = 4 if vs else 3
-    buf = np.empty((width + 1, min(samples, _MC_CHUNK)))
-    parts = []  # per chunk, per estimate: the sum of values and of squares
-    for chunk, done in enumerate(range(0, samples, _MC_CHUNK)):
-        m = min(_MC_CHUNK, samples - done)
-        flat = _philox(seed, chunk).random(m * width)
-        sums = []
-        if ws:
-            s, mn = _sums_and_minima(flat[: 3 * m].reshape(m, 3), d, buf, True)
-            base, near = _notch_region(d, s, mn)
-            for w in ws:
-                values = base * (near < w)
-                sums.append((float(values.sum()), float(np.square(values).sum())))
-        if vs:
-            _, mn = _sums_and_minima(flat.reshape(m, 4), d, buf, False)
-            for v in vs:
-                hits = float(np.count_nonzero(mn >= v))
-                sums.append((hits, hits))
-        parts.append(sums)
+    chunks = -(-samples // _MC_CHUNK)
+    order = iter(range(chunks))
+    lock = threading.Lock()
+    parts = [None] * chunks  # per chunk, per estimate: the sum of values and of squares
+    failures = {}  # per failed chunk, the exception it raised
+
+    def work():
+        buf = np.empty((width + 1, min(samples, _MC_CHUNK)))
+        chunk = 0
+        try:
+            while True:
+                with lock:
+                    chunk = chunks if failures else next(order, chunks)
+                    if chunk == chunks:  # none left, or a chunk failed
+                        return
+                    stream = _philox(seed, chunk)
+                m = min(_MC_CHUNK, samples - chunk * _MC_CHUNK)
+                flat = stream.random(m * width)
+                sums = []
+                if ws:
+                    s, mn = _sums_and_minima(flat[: 3 * m].reshape(m, 3), d, buf, True)
+                    base, near = _notch_region(d, s, mn)
+                    for w in ws:
+                        values = base * (near < w)
+                        sums.append((float(values.sum()), float(np.square(values).sum())))
+                if vs:
+                    _, mn = _sums_and_minima(flat.reshape(m, 4), d, buf, False)
+                    for v in vs:
+                        hits = float(np.count_nonzero(mn >= v))
+                        sums.append((hits, hits))
+                parts[chunk] = sums
+        except BaseException as exc:  # raised again by the caller once all workers stop
+            with lock:
+                failures[chunk] = exc
+
+    threads = []
+    try:
+        for _ in range(min(_cores(), chunks) - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[min(failures)]
     estimates = []
     for dim, per_chunk in zip([3] * len(ws) + [4] * len(vs), zip(*parts)):
         volume = d**dim / math.factorial(dim)

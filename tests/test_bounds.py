@@ -1,5 +1,8 @@
 import math
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -111,6 +114,97 @@ def test_mc_battery_draws_each_chunk_once(monkeypatch, samples):
     monkeypatch.setattr(bounds, "_philox", counting)
     bounds.bound_check_battery(Fraction(7, 3), method="mc", samples=samples)
     assert opened == list(range(math.ceil(samples / 65_536)))
+
+
+def _mc_runs(d, samples, seed):
+    """The raw estimates, with and without pockets, and the Monte-Carlo
+    battery's records, at one (d*, samples, seed)."""
+    x = float(d)
+    ws, vs = [x / 4, x / 8, x / 7], [x / 8, x / 7, x / 4]
+    return [
+        bounds._mc_over_simplex(x, ws, vs, samples, seed),
+        bounds._mc_over_simplex(x, ws, [], samples, seed),
+        [c.as_dict() for c in bounds.bound_check_battery(d, method="mc", samples=samples, seed=seed)],
+    ]
+
+
+@pytest.mark.parametrize("samples", [1, 65_536, 65_537, 200_000, 1_000_000])
+def test_mc_estimates_do_not_depend_on_the_worker_count(monkeypatch, samples):
+    # each chunk is reduced whole by one worker and fsum rounds exactly, so
+    # one worker and one per core give the same bits
+    for seed in (0, 1729, 2**64 - 1):
+        default = _mc_runs(Fraction(7, 3), samples, seed)
+        with monkeypatch.context() as m:
+            m.setattr(bounds, "_cores", lambda: 1)
+            assert _mc_runs(Fraction(7, 3), samples, seed) == default
+
+
+def test_mc_chunks_on_more_workers_than_cores(monkeypatch):
+    # eight workers on nine chunks, switching threads as often as the
+    # interpreter allows and pausing while a stream opens: each stream
+    # still opens once, in chunk order, on more than one thread, and the
+    # estimates are the one-worker ones
+    samples = 8 * 65_536 + 1
+    monkeypatch.setattr(bounds, "_cores", lambda: 1)
+    serial = _mc_runs(Fraction(5, 4), samples, 42)
+    opened, openers = [], set()
+    philox = bounds._philox
+
+    def counting(seed, chunk):
+        time.sleep(1e-3)
+        opened.append(chunk)
+        openers.add(threading.get_ident())
+        return philox(seed, chunk)
+
+    monkeypatch.setattr(bounds, "_philox", counting)
+    monkeypatch.setattr(bounds, "_cores", lambda: 8)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _mc_runs(Fraction(5, 4), samples, 42) == serial
+    finally:
+        sys.setswitchinterval(interval)
+    assert opened == list(range(9)) * 3 and len(openers) > 1
+    assert threading.active_count() == before
+
+
+def test_mc_battery_leaves_no_thread():
+    before = threading.active_count()
+    checks = bounds.bound_check_battery(Fraction(7, 3), method="mc", samples=200_000)
+    assert len(checks) == 13
+    assert threading.active_count() == before
+
+
+def test_mc_chunk_error_reaches_the_caller(monkeypatch):
+    # the worker that opens a chunk reduces it, so a thread-local tag set
+    # when the stream opens names the chunk being reduced
+    tag = threading.local()
+    philox, sums_and_minima = bounds._philox, bounds._sums_and_minima
+    error = ArithmeticError("chunk 2")
+
+    def tagging(seed, chunk):
+        opened.append(chunk)
+        tag.chunk = chunk
+        return philox(seed, chunk)
+
+    def failing(u, d, buf, with_sums):
+        if tag.chunk == 2:
+            raise error
+        return sums_and_minima(u, d, buf, with_sums)
+
+    monkeypatch.setattr(bounds, "_philox", tagging)
+    monkeypatch.setattr(bounds, "_sums_and_minima", failing)
+    before = threading.active_count()
+    for cores in (1, 2, 8):
+        opened = []
+        monkeypatch.setattr(bounds, "_cores", lambda: cores)
+        with pytest.raises(ArithmeticError) as raised:
+            bounds.bound_check_battery(Fraction(7, 3), method="mc", samples=20 * 65_536)
+        assert raised.value is error
+        # no worker takes a chunk after the failure, long before the 20th
+        assert opened == list(range(len(opened))) and 3 <= len(opened) < 20
+        assert threading.active_count() == before
 
 
 def _notch_cut(d, v, s, mn):

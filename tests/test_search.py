@@ -188,7 +188,7 @@ def test_import_loads_no_process_machinery():
     assert out == "[]\n"
 
 
-NUMPY_PROBE = """
+MODULES_PROBE = """
 import contextlib, io, json, sys
 import cayleycover
 from cayleycover import cli
@@ -196,36 +196,55 @@ codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
-print(json.dumps([codes, 'numpy' in sys.modules]))
+roots = json.loads(sys.argv[2])
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] in roots)]))
 """
 
 
-def _numpy_after(calls):
+def _modules_after(calls, roots):
     """Exit codes of in-process ``cli.main`` calls in a fresh interpreter
-    that imported the package, and whether numpy was loaded after them."""
+    that imported the package, and the loaded modules under the top-level
+    packages ``roots`` after them."""
     src = os.path.dirname(os.path.dirname(search_mod.__file__))
     out = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, json.dumps(calls)],
+        [sys.executable, "-c", MODULES_PROBE, json.dumps(calls), json.dumps(roots)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
     ).stdout
     return json.loads(out)
 
 
-def test_one_shot_queries_do_not_load_numpy(tmp_path):
-    # tile, cover and the exact bound queries never touch an array
+def _numpy_after(calls):
+    """Exit codes of the calls, as ``_modules_after`` makes them, and
+    whether numpy was loaded after them."""
+    codes, loaded = _modules_after(calls, ["numpy"])
+    return [codes, "numpy" in loaded]
+
+
+def _one_shot_calls(tmp_path):
     lattice = tmp_path / "l5.json"
     lattice.write_text(json.dumps({"n": 2, "basis": [[5, 0], [-2, 1]]}))
-    calls = [
+    return [
         ["tile", "--lattice", str(lattice)],
         ["cover", "--n", "2", "--d", "2", "--lattice", str(lattice)],
         ["cover", "--n", "2", "--d", "2", "--lattice", str(lattice), "--continuous"],
         ["theta-bounds", "--n-max", "4", "--d", "3"],
         ["verify-bounds", "--method", "quad", "--d-star", "7/3"],
     ]
+
+
+def test_one_shot_queries_do_not_load_numpy(tmp_path):
+    # tile, cover and the exact bound queries never touch an array
+    calls = _one_shot_calls(tmp_path)
     assert _numpy_after(calls) == [[0] * len(calls), False]
     # the search and Monte Carlo do load it, so the probe sees an import
     assert _numpy_after([["search-f", "--n", "2", "--d", "3"]]) == [[0], True]
     assert _numpy_after([["verify-bounds", "--method", "mc"]]) == [[0], True]
+
+
+def test_one_shot_queries_load_no_pool(tmp_path):
+    # only the Monte-Carlo battery runs workers, on threads alone
+    calls = _one_shot_calls(tmp_path) + [["verify-bounds", "--method", "mc"]]
+    assert _modules_after(calls, ["concurrent", "multiprocessing"]) == [[0] * len(calls), []]
 
 
 def test_candidates_scanned_pinned():
