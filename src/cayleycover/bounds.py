@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -533,40 +533,32 @@ class BoundCheck:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "estimate": self.estimate,
-            "closed_form": self.closed_form,
-            "abs_err": self.abs_err,
-            "rel_err": self.rel_err,
-            "std_err": self.std_err,
-            "pass": self.passed,
-        }
+        fields = asdict(self)
+        fields["pass"] = fields.pop("passed")
+        return fields
 
 
-def _relative(abs_err: float, closed: float) -> float:
+def _check(name, value, expected, passed=None, std_err=0.0) -> BoundCheck:
+    """The record of ``value`` against ``expected``.  ``rel_err`` is
+    ``abs_err / |closed_form|``; for a closed form of 0 it is 0 if
+    ``abs_err`` is 0, else inf.  It passes on ``value == expected`` unless
+    ``passed`` is given."""
+    closed = float(expected)
+    abs_err = abs(float(value - expected))
     if closed == 0.0:
-        return 0.0 if abs_err == 0.0 else float("inf")
-    return abs_err / abs(closed)
+        rel_err = 0.0 if abs_err == 0.0 else float("inf")
+    else:
+        rel_err = abs_err / abs(closed)
+    if passed is None:
+        passed = value == expected
+    return BoundCheck(name, float(value), closed, abs_err, rel_err, std_err, passed)
 
 
 def _mc_check(name, estimate, closed) -> BoundCheck:
-    closed_f = float(closed)
-    abs_err = abs(estimate.value - closed_f)
-    rel_err = _relative(abs_err, closed_f)
+    check = _check(name, estimate.value, closed, std_err=estimate.std_error)
     # float rounding of the closed form: at most 4 ulp over 10^5 random d*, so 8
-    passed = abs_err <= MC_SIGMA_GATE * estimate.std_error + 8 * math.ulp(closed_f)
-    passed = passed and rel_err <= MC_REL_TOL
-    return BoundCheck(
-        name, estimate.value, closed_f, abs_err, rel_err, estimate.std_error, passed
-    )
-
-
-def _exact_check(name, value, expected) -> BoundCheck:
-    abs_err = abs(float(value - expected))
-    return BoundCheck(
-        name, float(value), float(expected), abs_err, _relative(abs_err, float(expected)), 0.0, value == expected
-    )
+    gate = MC_SIGMA_GATE * check.std_err + 8 * math.ulp(check.closed_form)
+    return replace(check, passed=check.abs_err <= gate and check.rel_err <= MC_REL_TOL)
 
 
 def bound_check_battery(
@@ -604,32 +596,24 @@ def bound_check_battery(
     mc = _normalize_method(method) == "monte_carlo"
     tag = "mc" if mc else "quad"
 
+    def integral(name, est, closed):
+        return _mc_check(name, est, closed) if mc else _check(name, est.value, closed)
+
     region, pockets = _region_estimates(d_star, [d_star / 4, *vs], method, samples, seed, vs)
-    integrals = [(f"integral_no_notch[{tag}]", region[0], no_notch_integral_value(d_star))]
+    checks = [integral(f"integral_no_notch[{tag}]", region[0], no_notch_integral_value(d_star))]
     for cfg, notch, pocket in zip(configs, region[1:], pockets):
         closed = notch_integral_value(d_star, cfg.v)
-        integrals.append((f"integral_notch[{tag}] v={cfg.v}", notch, closed))
+        checks.append(integral(f"integral_notch[{tag}] v={cfg.v}", notch, closed))
         if pocket is not None:
             closed = notch_region_volume(cfg)
-            integrals.append((f"notch_region_volume[mc] v={cfg.v}", pocket, closed))
-    checks = [
-        _mc_check(name, est, closed) if mc else _exact_check(name, est.value, closed)
-        for name, est, closed in integrals
-    ]
+            checks.append(_mc_check(f"notch_region_volume[mc] v={cfg.v}", pocket, closed))
+
+    probes = [d_star * k / 16 for k in range(5)]
+
+    def worst(*residuals):
+        return max(abs(residual(d_star, v)) for residual in residuals for v in probes)
 
     no_notch = no_notch_volume_bound(d_star)
-    checks.append(_exact_check("no_notch_volume_identity", no_notch, d_star**4 / Fraction(32)))
-    probes = [d_star * k / 16 for k in range(5)]
-    for name, residuals in (
-        ("notch_bound_identity", [notch_identity_residual]),
-        (
-            "derivative_factorization",
-            [derivative_factorization_residual, derivative_integral_residual],
-        ),
-    ):
-        worst = max(abs(residual(d_star, v)) for residual in residuals for v in probes)
-        checks.append(_exact_check(name, worst, Fraction(0)))
-
     peak = 11 * d_star**4 / 343
     try:
         optimize_notch(d_star)
@@ -638,25 +622,19 @@ def bound_check_battery(
         stated = False
     below = 40_000 // 7
     grid_max = max(notch_volume_bound(d_star, d_star * i / 40_000) for i in (below, below + 1))
-    gap = abs(float(grid_max - peak))
-    checks.append(
-        BoundCheck(
-            "notch_optimum_grid", float(grid_max), float(peak), gap,
-            _relative(gap, float(peak)), 0.0, stated and grid_max <= peak,
-        )
-    )
-    gap = float(peak - no_notch)
-    checks.append(
-        BoundCheck(
-            "notch_max_dominates_no_notch", float(peak), float(no_notch), gap,
-            _relative(gap, float(no_notch)), 0.0, peak > no_notch,
-        )
-    )
-    checks.append(
-        _exact_check(
+    return checks + [
+        _check("no_notch_volume_identity", no_notch, d_star**4 / Fraction(32)),
+        _check("notch_bound_identity", worst(notch_identity_residual), Fraction(0)),
+        _check(
+            "derivative_factorization",
+            worst(derivative_factorization_residual, derivative_integral_residual),
+            Fraction(0),
+        ),
+        _check("notch_optimum_grid", grid_max, peak, stated and grid_max <= peak),
+        _check("notch_max_dominates_no_notch", peak, no_notch, peak > no_notch),
+        _check(
             "integral_scaling_law",
             no_notch_integral_value(2 * d_star),
             16 * no_notch_integral_value(d_star),
-        )
-    )
-    return checks
+        ),
+    ]

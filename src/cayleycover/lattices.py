@@ -223,22 +223,6 @@ def coset_character(
     return factors, tuple(images)
 
 
-def _graded_positive(v: Sequence[int]) -> bool:
-    """Positivity in the graded order extended to Z^n.
-
-    Positive means coordinate sum above zero, or zero sum with the first
-    nonzero coordinate positive; exactly one of v, -v is positive for every
-    nonzero v.
-    """
-    s = sum(v)
-    if s != 0:
-        return s > 0
-    for a in v:
-        if a:
-            return a > 0
-    return False
-
-
 def graded_positive_points_in_difference_body(
     lattice: IntegerLattice, d: int
 ) -> list[tuple[int, ...]]:
@@ -272,8 +256,10 @@ def graded_positive_points_in_difference_body(
        with every z equal to 0 is 0, and is skipped.
 
     Each kept vector v is then emitted as whichever of v and -v is
-    graded-positive (see :func:`_graded_positive`), so every
-    graded-positive vector of the body appears exactly once.
+    graded-positive: coordinate sum above zero, or zero sum with the first
+    nonzero coordinate positive, which for nonzero v is ``v > (0,) * n`` in
+    tuple order.  So every graded-positive vector of the body appears
+    exactly once.
     """
     n = lattice.dim
     basis = lattice.basis
@@ -296,7 +282,7 @@ def graded_positive_points_in_difference_body(
                 acc[0] = x
                 v = tuple(acc)
                 s = total + x
-                if s > 0 or (s == 0 and _graded_positive(v)):
+                if s > 0 or (s == 0 and v > (0,) * n):
                     found.append(v)
                 else:
                     found.append(tuple([-c for c in v]))

@@ -169,6 +169,17 @@ def test_mc_chunks_on_more_workers_than_cores(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_cores_falls_back_to_the_cpu_count(monkeypatch):
+    # without an affinity call the worker count is the machine's core count,
+    # and the estimates are still the one-worker bits
+    with monkeypatch.context() as m:
+        m.setattr(bounds, "_cores", lambda: 1)
+        serial = bounds._mc_over_simplex(2.5, [0.625, 0.3125], [0.3125], 200_000, 7)
+    monkeypatch.delattr(bounds.os, "sched_getaffinity", raising=False)
+    assert bounds._cores() == (bounds.os.cpu_count() or 1)
+    assert bounds._mc_over_simplex(2.5, [0.625, 0.3125], [0.3125], 200_000, 7) == serial
+
+
 def test_mc_battery_leaves_no_thread():
     before = threading.active_count()
     checks = bounds.bound_check_battery(Fraction(7, 3), method="mc", samples=200_000)
@@ -417,8 +428,13 @@ def test_tile_volume_bound_dim4():
     assert tile_volume_bound_dim4(0) == Fraction(2816, 343)
     for d in range(21):
         assert tile_volume_bound_dim4(d) == f4_upper_bound(d)
-    # the notch maximum dominates the no-notch bound
-    assert Fraction(11, 343) > Fraction(1, 32)
+    # the notch maximum dominates the no-notch bound, by 9 d*^4/10976 > 0,
+    # so the record's abs_err is that gap for every d* > 0
+    assert Fraction(11, 343) - Fraction(1, 32) == Fraction(9, 10976)
+    for d in (Fraction(1, 10**30), Fraction(1, 3), Fraction(7, 3), Fraction(123456789, 7)):
+        checks = bounds.bound_check_battery(d, method="quad")
+        (record,) = [c for c in checks if c.name == "notch_max_dominates_no_notch"]
+        assert record.passed and record.abs_err == float(9 * d**4 / 10976) > 0
 
 
 def test_search_never_violates_dim4_bound():

@@ -35,10 +35,15 @@ def box_lattice_file(tmp_path):
     return str(path)
 
 
-def test_tile_ascii(lattice_file, capsys):
+def test_tile_ascii(lattice_file, tmp_path, capsys):
     assert main(["tile", "--lattice", lattice_file, "--ascii"]) == 0
     out = capsys.readouterr().out
     assert out == "#v\n##\n##\n"
+    # a cell of the bounding box that is neither tile nor notch prints as '.'
+    path = tmp_path / "l6.json"
+    path.write_text(json.dumps({"n": 2, "basis": [[3, 0], [1, 2]]}))
+    assert main(["tile", "--lattice", str(path), "--ascii"]) == 0
+    assert capsys.readouterr().out == "#.\n#v\n##\n##\n"
 
 
 def test_tile_has_no_json_flag(lattice_file, capsys):
@@ -453,6 +458,14 @@ def test_usage_error_exits_2(tmp_path, lattice_file, capsys):
     strings.write_text(json.dumps({"n": 2, "basis": [["3", "0"], ["0", "1"]]}))
     fractional_n = tmp_path / "fractional_n.json"
     fractional_n.write_text(json.dumps({"n": 2.5, "basis": [[2, 0], [0, 1]]}))
+    # a basis that does not fit n
+    shapes = {
+        "basis rows have length 3, not 2": {"n": 2, "basis": [[5, 0, 0], [2, 1, 0], [0, 0, 1]]},
+        "empty generating set": {"n": 2, "basis": []},
+    }
+    for i, (message, lattice) in enumerate(shapes.items()):
+        shapes[message] = tmp_path / f"shape{i}.json"
+        shapes[message].write_text(json.dumps(lattice))
     # deeper than the JSON decoder's recursion limit
     nested = tmp_path / "nested.json"
     nested.write_text("[" * 100_000 + "]" * 100_000)
@@ -477,6 +490,8 @@ def test_usage_error_exits_2(tmp_path, lattice_file, capsys):
         ["tile", "--lattice", str(fractional)],
         ["tile", "--lattice", str(strings)],
         ["tile", "--lattice", str(fractional_n)],
+        *(["tile", "--lattice", str(path)] for path in shapes.values()),
+        *(["cover", "--n", "2", "--d", "1", "--lattice", str(path)] for path in shapes.values()),
         ["cover", "--n", "2", "--d", "1", "--lattice", str(malformed)],
         ["tile", "--lattice", str(nested)],
         ["cover", "--n", "2", "--d", "1", "--lattice", str(nested)],
@@ -509,11 +524,21 @@ def test_usage_error_exits_2(tmp_path, lattice_file, capsys):
             f"error: {path} is not a lattice file: "
             "lattice JSON holds a boolean where an integer belongs\n"
         )
+    for message, path in shapes.items():
+        assert main(["tile", "--lattice", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path} is not a lattice file: {message}\n"
 
     # values the argument parser rejects: usage line, then one error line
-    for argv in (
-        ["verify-bounds", "--d-star", "1/0"],
-        ["verify-bounds", "--v", "1/0"],
+    shape, order = "d-range must look like A..B", "d-range must satisfy 0 <= A <= B"
+    for argv, error in (
+        (["verify-bounds", "--d-star", "1/0"], "argument --d-star: '1/0' has a zero denominator"),
+        (["verify-bounds", "--v", "1/0"], "argument --v: '1/0' has a zero denominator"),
+        *(
+            (["density-table", "--n", "2", f"--d-range={text}"], f"argument --d-range: {message}")
+            for text, message in (
+                ("5", shape), ("a..b", shape), ("..", shape), ("3..1", order), ("-1..2", order)
+            )
+        ),
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -521,8 +546,7 @@ def test_usage_error_exits_2(tmp_path, lattice_file, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
         assert [line for line in captured.err.splitlines() if "error:" in line] == [
-            "cayleycover verify-bounds: error: argument "
-            f"{argv[1]}: '1/0' has a zero denominator"
+            f"cayleycover {argv[0]}: error: {error}"
         ]
 
 

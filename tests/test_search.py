@@ -15,16 +15,21 @@ import cayleycover.search as search_mod
 from cayleycover import (
     CapTooSmall,
     IntegerLattice,
+    IntegralEstimate,
     brute_force_f,
     build_tile,
     density_trend,
+    enumerate_orthant_prec,
     f2_closed_form,
     f3_upper_bound,
     f4_upper_bound,
     fits_diameter,
     fn_upper_bound,
     hnf_normalize,
+    optimize_notch,
+    simplex_size,
     theta_lower_bound,
+    tile_volume_bound_dim4,
 )
 from cayleycover.lattices import count_sublattices, divisors, enumerate_sublattices
 from conftest import bfs_quotient_diameter
@@ -172,6 +177,30 @@ def test_diagonals_of_a_prime_index_in_high_dimension():
 def test_cap_too_small_raises():
     with pytest.raises(CapTooSmall):
         brute_force_f(2, 2, index_cap=0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: f2_closed_form(-1), "need d >= 0"),
+        (lambda: f3_upper_bound(-1), "need d >= 0"),
+        (lambda: f4_upper_bound(-1), "need d >= 0"),
+        (lambda: fn_upper_bound(1, 0), "need n >= 2 and d >= 0"),
+        (lambda: theta_lower_bound(1), "need n >= 2"),
+        (lambda: brute_force_f(0, 1), "need n >= 1 and d >= 0"),
+        (lambda: simplex_size(0, 1), "need n >= 1 and d >= 0"),
+        (lambda: next(enumerate_orthant_prec(0)), "need n >= 1"),
+        (lambda: optimize_notch(0), "d_star must be positive"),
+        (lambda: tile_volume_bound_dim4(-1), "need d >= 0"),
+        (
+            lambda: IntegralEstimate(1.0, 0.0, 0, "monte_carlo", 0),
+            "monte_carlo estimates need at least one sample",
+        ),
+    ],
+)
+def test_argument_guards_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_import_loads_no_process_machinery():
