@@ -586,12 +586,13 @@ def bound_check_battery(
     10^4-step grid hits d*/7, so the grid maximum is at one of the two
     points around it.
     """
-    # an int d* would turn d*/8 and the probes d* k/16 into floats
-    d_star = _exact(d_star)
+    # the checks decide by ==, so a float d* or v is taken at its exact
+    # value; an int d* would turn d*/8 and the probes d* k/16 into floats
+    d_star = Fraction(d_star)
     if vs is None:
         vs = [d_star / 8, d_star / 7, d_star / 4]
     else:
-        vs = [_exact(v) for v in vs]
+        vs = [Fraction(v) for v in vs]
     configs = [NotchConfig(d_star, v) for v in vs]
     mc = _normalize_method(method) == "monte_carlo"
     tag = "mc" if mc else "quad"

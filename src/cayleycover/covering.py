@@ -19,6 +19,11 @@ As dist reaches the tile diameter d(L) and sum(t) ranges over [0, n), the
 lattice plus the solid radius-D simplex covers R^n iff D >= d(L) + n: the
 discrete-to-continuous lift from d to d + n is tight.
 
+The falsifier applies the rule to the grid (1/r) Z^n coset by coset, not
+cell by cell: in z's coset the grid points failing it are those whose
+fractional parts sum past D - dist(z), so each coset's lex-first one has a
+closed form, and the first over the fundamental box is the least of these.
+
 Every query takes a lattice or its built tile, and a radius, as the tile
 queries do; n is the lattice's dimension: ``covers_discrete(lattice, d)``,
 ``discrete_density(lattice, d)``, ``lift_to_continuous(lattice, d)`` and
@@ -28,9 +33,9 @@ queries do; n is the lattice's dimension: ``covers_discrete(lattice, d)``,
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from .errors import NotACovering, SingularAfterRounding, SingularBasis
@@ -146,31 +151,42 @@ def continuous_cover_falsify(
     lattice: IntegerLattice | CayleyTile, D, resolution: int = 4
 ) -> Optional[tuple[Fraction, ...]]:
     """First point of the grid (1/resolution) * Z^n in the fundamental box
-    that no simplex translate covers, or None.
+    that no simplex translate covers, in lexicographic order, or None.
 
-    The grid is walked in lexicographic order and each point z + t, t in
-    [0, 1)^n, is decided exactly: covered iff dist(z) + sum(t) <= D, where
-    dist(z) is the norm of the tile point in z's coset, because a lattice
-    vector v with z + t - v >= 0 has z - v >= 0 (module docstring).  As
-    sum(t) < n, L covers R^n iff D >= d(L) + n; there None is returned at
-    once and is a proof.  A returned point is a proof of non-covering.
+    Each point z + t, t in [0, 1)^n, is decided exactly: covered iff
+    dist(z) + sum(t) <= D, where dist(z) is the norm of the tile point in
+    z's coset, because a lattice vector v with z + t - v >= 0 has
+    z - v >= 0 (module docstring).  As sum(t) < n, L covers R^n iff
+    D >= d(L) + n; there None is returned at once and is a proof.  A
+    returned point is a proof of non-covering.
+
+    The first uncovered point is found per coset, not per grid cell.  With
+    r the resolution and B = floor(D r), a grid point is (z r + k) / r for z
+    in the fundamental box and k in [0, r)^n, and it is uncovered iff
+    dist(z) r + sum(k) > B, i.e. iff sum(k) >= need = B + 1 - dist(z) r.
+    So z's coset holds an uncovered point iff need <= n (r - 1), and the
+    lex-least such k puts the mass at the end:
+    k_i = min(r - 1, max(0, need - (n - 1 - i)(r - 1))).  As 0 <= k_i < r,
+    lex order on z r + k is lex order on (z_0, k_0, z_1, k_1, ...), so the
+    first uncovered point of the box is the least of the cosets' first
+    ones.  The tile points come in graded order, so need grows along
+    ``reversed(tile.points)`` and the walk stops at the first coset with
+    none.
     """
-    if resolution < 1:
+    r = operator.index(resolution)
+    if r < 1:
         raise ValueError("resolution must be a positive integer")
     D = Fraction(D)
     tile = _tile_of(lattice)
-    lattice = tile.source_lattice
-    if D >= tile.m_diameter + tile.dim:
+    n = tile.dim
+    if D >= tile.m_diameter + n:
         return None
-    # keyed by the coset's point in the fundamental box; grid points are
-    # (z * r + k) / r with 0 <= k < r, decided in integers
-    dist = {reduce_mod(lattice, p): sum(p) for p in tile.points}
-    bound = math.floor(D * resolution)
-    axes = [
-        [divmod(g, resolution) for g in range(resolution * m)] for m in lattice.diagonal
-    ]
-    for cell in product(*axes):
-        z = tuple(q for q, _ in cell)
-        if dist[z] * resolution + sum(k for _, k in cell) > bound:
-            return tuple(Fraction(q * resolution + k, resolution) for q, k in cell)
-    return None
+    bound = math.floor(D * r)
+    cells = []
+    for p in reversed(tile.points):
+        need = bound + 1 - sum(p) * r
+        if need > n * (r - 1):
+            break
+        k = [min(r - 1, max(0, need - (n - 1 - i) * (r - 1))) for i in range(n)]
+        cells.append([q * r + c for q, c in zip(reduce_mod(tile.source_lattice, p), k)])
+    return tuple(Fraction(g, r) for g in min(cells)) if cells else None

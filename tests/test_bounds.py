@@ -535,3 +535,15 @@ def test_no_notch_integral_rejects_nonpositive_d_star():
         for method in ("mc", "quad"):
             with pytest.raises(ValueError):
                 integral_no_notch(d, method=method)
+
+
+def test_battery_takes_a_float_at_its_exact_value():
+    # the exact checks decide by ==, which float rounding would fail
+    for d in (1.0, 2.3):
+        for method in ("quad", "mc"):
+            checks = bounds.bound_check_battery(d, method=method)
+            assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
+            reference = bounds.bound_check_battery(Fraction(d), method=method)
+            assert [c.as_dict() for c in checks] == [c.as_dict() for c in reference]
+    checks = bounds.bound_check_battery(2.3, [0.1, 0.5], "quad")
+    assert all(c.passed for c in checks)

@@ -228,6 +228,19 @@ def test_falsifier_broken_instance():
 def test_falsifier_resolution_validation():
     with pytest.raises(ValueError):
         continuous_cover_falsify(L22, 2, 0)
+    # a float resolution is refused, not read as a coarser or finer grid
+    with pytest.raises(TypeError):
+        continuous_cover_falsify(L22, 1, 2.5)
+
+
+def test_falsifier_witness_deep_in_a_fine_grid():
+    # the lex-first uncovered point lies past about 40% of the 5 r^2 cells
+    lat = hnf_normalize([(5, 0), (2, 1)])
+    assert build_tile(lat).m_diameter == 2
+    for r, witness in ((250, (Fraction(251, 125), Fraction(249, 250))),
+                       (1000, (Fraction(1001, 500), Fraction(999, 1000)))):
+        assert continuous_cover_falsify(lat, 3, r) == witness
+        assert not grid_point_covered(witness, Fraction(3), lat)
 
 
 def test_falsifier_matches_grid_oracle():
@@ -245,9 +258,9 @@ def test_falsifier_matches_grid_oracle():
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(
-    st.integers(1, 3).flatmap(lambda n: hnfs(n, 30)),
+    st.integers(1, 4).flatmap(lambda n: hnfs(n, 12 if n == 4 else 30)),
     st.integers(-8, 8),
-    st.integers(1, 3),
+    st.integers(1, 5),
 )
 def test_falsifier_matches_grid_oracle_on_drawn_cases(lat, quarters, r):
     n = lat.dim
@@ -256,13 +269,16 @@ def test_falsifier_matches_grid_oracle_on_drawn_cases(lat, quarters, r):
 
 
 def test_continuous_cover_threshold_is_diameter_plus_n():
-    # L + solid radius-D simplex covers R^n iff D >= d(L) + n: the lift is tight
-    for lat in make_corpus(46, [(2, 30, 12)]) + [L5, L22, I2]:
-        top = build_tile(lat).m_diameter + 2
+    # L + solid radius-D simplex covers R^n iff D >= d(L) + n: the lift is tight.
+    # Below it by n/16, the grid point at t = (16/17, ...) of the diameter
+    # point's coset, with sum(t) = n - n/17, is uncovered
+    for lat in make_corpus(46, [(2, 30, 12), (5, 300, 3), (6, 30, 2)]) + [L5, L22, I2]:
+        top = build_tile(lat).m_diameter + lat.dim
+        below = top - Fraction(lat.dim, 16)
         assert continuous_cover_falsify(lat, top, 17) is None
-        witness = continuous_cover_falsify(lat, top - Fraction(1, 8), 17)
+        witness = continuous_cover_falsify(lat, below, 17)
         assert witness is not None
-        assert not grid_point_covered(witness, top - Fraction(1, 8), lat)
+        assert not grid_point_covered(witness, below, lat)
 
 
 def test_covering_queries_skip_notch_detection(monkeypatch):

@@ -463,3 +463,9 @@ def test_no_fit_between_the_paper_cap_and_the_binomial_cap(n, d):
 def test_no_fit_between_the_paper_cap_and_the_binomial_cap_at_3_9():
     fits, size = gap_fits(3, 9)
     assert size == 13 and fits == []
+
+
+@pytest.mark.slow
+def test_no_fit_between_the_paper_cap_and_the_binomial_cap_at_3_10():
+    fits, size = gap_fits(3, 10)
+    assert size == 23 and fits == []
