@@ -11,19 +11,25 @@ also lost, and the resulting quartic bound peaks at v = d*/7 with value
 it rises on [0, d*/7] and falls on [d*/7, d*/4].  Simpson's rule, exact on
 that cubic, ties the stated derivative to the quartic.
 
-The no-notch case is the notch case at v = d*/4, so one integrand and one
-piece table serve both integrals:
+The no-notch case is the notch case at v = d*/4, and one polynomial in
+one variable gives both integrals.  Write r = d* - sum(x):
 
-- At v = d*/4 the pocket {x_i >= d*/4, d* - sum(x) >= d*/4} forces
-  sum(x) = 3d*/4 with every x_i = d*/4.  It is one point, a null set, so
-  the notch mask equals the no-notch mask off that point.
-- In ``_notch_pieces(d*, d*/4)`` the two pieces on [v, d* - 3v] are empty,
-  and the other four are the no-notch region's pieces.
-- The closed forms agree: the notch integral at v = d*/4 is d*^4/384, the
-  quartic bound there is d*^4/32, and the pocket volume is 0.
+- On the no-notch region min(x) >= r, so a point there is in the pocket
+  {min(x) >= v, r >= v} exactly when r >= v.  The notch region is the
+  slab 0 <= r < v of the no-notch region.
+- The slice at level r is {x >= r, sum(x) = d* - r}, empty past
+  r = d*/4.  Its projection to (x_1, x_2) is a right triangle with legs
+  d* - 4r, and dx = dx_1 dx_2 dr, so the slice measures (d* - 4r)^2 / 2.
+  The notch integral is the integral of r (d* - 4r)^2 / 2 over [0, v], a
+  cubic, on which Simpson's rule is exact: rational inputs give the exact
+  rational, float inputs a float.
+- At v = d*/4 the pocket is the one point (d*/4, d*/4, d*/4), a null set,
+  and the slab is the whole region.  The closed forms agree: the notch
+  integral at v = d*/4 is d*^4/384, the quartic bound there is d*^4/32,
+  and the pocket volume is 0.
 
 This module provides the region membership predicates, Monte-Carlo
-estimates of the integrals, an exact nested quadrature of them, exact
+estimates of the integrals, an exact quadrature of the slices, exact
 rational twins of every closed form, and the verification battery
 ``bound_check_battery`` that checks them against each other.  The
 polynomial identities are homogeneous in (d*, v), so a few exact ratios
@@ -50,7 +56,7 @@ import os
 import threading
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import BadSampleCount, DimensionMismatch
 
@@ -89,8 +95,8 @@ class NotchConfig:
 @dataclass(frozen=True)
 class IntegralEstimate:
     """For Monte Carlo, ``samples`` counts the draws.  For the exact
-    quadrature, ``value`` is the integral itself and ``samples`` counts the
-    pieces summed."""
+    quadrature, ``value`` is the integral itself and ``samples`` is 1, the
+    one slice polynomial integrated."""
 
     value: object
     std_error: float
@@ -132,18 +138,18 @@ def in_region_notch(x: Sequence, config: NotchConfig) -> bool:
 
 def _notch_region(d: float, s: np.ndarray, mn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """From sums and minima: d* - sum(x) on the no-notch region and 0 off
-    it, and min(min(x), d* - sum(x)).  The pocket at v holds the points
-    where the second is >= v, so the notches share the first and differ
-    only in where they cut the second: the integrand at v is
-    ``base * (near < v)``.  The region values are finite and >= +0.0, so
-    that product is ``np.where(near < v, base, 0.0)`` bit for bit, with no
-    branch.  The same holds for ``base`` itself, ``rest`` times the region
-    mask: off the region, where ``rest`` may be negative, the product is
-    -0.0, and adding +0.0 turns it into +0.0 and leaves every other value
-    as it is, so a chunk with no point in the region sums to 0.0."""
-    import numpy as np
+    it, and d* - sum(x).  On the region d* - sum(x) <= min(x), so the
+    pocket at v holds the region's points where d* - sum(x) >= v; the
+    notches share the first array and differ only in where they cut the
+    second: the integrand at v is ``base * (rest < v)``.  The region values
+    are finite and >= +0.0, so that product is
+    ``np.where(rest < v, base, 0.0)`` bit for bit, with no branch.  The same
+    holds for ``base`` itself, ``rest`` times the region mask: off the
+    region, where ``rest`` may be negative, the product is -0.0, and adding
+    +0.0 turns it into +0.0 and leaves every other value as it is, so a
+    chunk with no point in the region sums to 0.0."""
     rest = d - s
-    return rest * ((s <= d) & (rest <= mn)) + 0.0, np.minimum(mn, rest)
+    return rest * ((s <= d) & (rest <= mn)) + 0.0, rest
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +262,9 @@ def _mc_over_simplex(
                 sums = []
                 if ws:
                     s, mn = _sums_and_minima(flat[: 3 * m].reshape(m, 3), d, buf, True)
-                    base, near = _notch_region(d, s, mn)
+                    base, rest = _notch_region(d, s, mn)
                     for w in ws:
-                        values = base * (near < w)
+                        values = base * (rest < w)
                         sums.append((float(values.sum()), float(np.square(values).sum())))
                 if vs:
                     _, mn = _sums_and_minima(flat.reshape(m, 4), d, buf, False)
@@ -296,55 +302,12 @@ def _mc_over_simplex(
 
 
 # ---------------------------------------------------------------------------
-# exact nested quadrature over the explicit iterated limits
-
-# A piece (a, b, c, e, g, h) integrates d - u - w - t over a <= u <= b,
-# c(u) <= w <= e(u), g(u, w) <= t <= h(u, w); every limit is linear.
-Piece = tuple[object, object, Callable, Callable, Callable, Callable]
-
-
-def _notch_pieces(d, v) -> list[Piece]:
-    return [
-        (0, v, lambda u: d - 3 * u, lambda u: d - u,
-         lambda u, w: (d - u - w) / 2, lambda u, w: d - u - w),
-        (v, d - 3 * v, lambda u: d - u - 2 * v, lambda u: d - u,
-         lambda u, w: (d - u - w) / 2, lambda u, w: d - u - w),
-        (d - 3 * v, d, lambda u: (d - u) / 3, lambda u: d - u,
-         lambda u, w: (d - u - w) / 2, lambda u, w: d - u - w),
-        (v, d - 3 * v, lambda u: v, lambda u: d - u - 2 * v,
-         lambda u, w: d - u - w - v, lambda u, w: d - u - w),
-        (0, v, lambda u: u, lambda u: d - 3 * u,
-         lambda u, w: d - 2 * u - w, lambda u, w: d - u - w),
-        (0, v, lambda u: u, lambda u: d - 3 * u,
-         lambda u, w: d - 2 * u - w, lambda u, w: d - u - w),
-    ]
-
+# exact quadrature over the slices r = d* - sum(x)
 
 def _simpson(f, a, b):
     """Simpson's rule on [a, b]; exact for polynomials of degree <= 3.
-    An empty interval is 0, with no call of f."""
-    if a == b:
-        return 0
+    An empty interval gives a zero of the limits' type."""
     return (b - a) * (f(a) + 4 * f((a + b) / 2) + f(b)) / 6
-
-
-def _exact_estimate(pieces: list[Piece], d) -> IntegralEstimate:
-    """Midpoint rule in t, Simpson in w and in u, summed over the pieces.
-
-    The t-integral (h - g)(d - u - w - (g + h)/2) is quadratic in w and its
-    w-integral is cubic in u, so every step is exact: rational inputs give
-    the exact rational, float inputs a float.
-    """
-
-    def piece_integral(a, b, c, e, g, h):
-        def t_integral(u, w):
-            gt, ht = g(u, w), h(u, w)
-            return (ht - gt) * (d - u - w - (gt + ht) / 2)
-
-        return _simpson(lambda u: _simpson(lambda w: t_integral(u, w), c(u), e(u)), a, b)
-
-    value = sum(piece_integral(*piece) for piece in pieces)
-    return IntegralEstimate(value, 0.0, len(pieces), "nested_quadrature", None)
 
 
 def _normalize_method(method: str) -> str:
@@ -374,8 +337,10 @@ def _region_estimates(
         region, pockets = _mc_over_simplex(d, keys, [float(v) for v in vs], samples, seed)
         by_w = dict(zip(keys, region))
         return [by_w[float(w)] for w in ws], pockets
+    # the slab r < w, slice by slice: r times the slice area (d* - 4r)^2 / 2
     d = _exact(d_star)
-    return [_exact_estimate(_notch_pieces(d, _exact(w)), d) for w in ws], [None] * len(vs)
+    values = [_simpson(lambda r: r * (d - 4 * r) ** 2 / 2, 0, _exact(w)) for w in ws]
+    return [IntegralEstimate(x, 0.0, 1, "nested_quadrature", None) for x in values], [None] * len(vs)
 
 
 def integral_no_notch(
@@ -471,8 +436,7 @@ def derivative_integral_residual(d_star, v):
     since Simpson's rule is exact on a cubic."""
     d, w = _exact(d_star), _exact(v)
     q, dq = notch_volume_bound, notch_volume_bound_derivative
-    simpson = w * (dq(d, 0) + 4 * dq(d, w / 2) + dq(d, w)) / 6
-    return q(d, w) - q(d, 0) - simpson
+    return q(d, w) - q(d, 0) - _simpson(lambda x: dq(d, x), 0, w)
 
 
 @dataclass(frozen=True)

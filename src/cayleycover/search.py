@@ -3,9 +3,9 @@
 ``brute_force_f(n, d)`` computes the largest quotient-group order reachable
 by an abelian Cayley digraph with n generators and diameter at most d, by
 scanning lattice indices downward from a cap and testing every canonical
-HNF sublattice at each index.  The cap combines the binomial bound
-C(d+n, n) with the closed-form upper bound below, both of which the test
-suite verifies independently.
+HNF sublattice at each index.  The cap is the binomial bound C(d+n, n),
+and for n <= 4 also the closed-form upper bound below, which the paper
+proves only there; the test suite verifies both independently.
 
 A lattice's tile has diameter at most d exactly when the C(d+n, n) points
 of the radius-d simplex meet every coset.  The search tests that on whole
@@ -291,18 +291,20 @@ def _scan_index(n: int, d: int, m: int, simplex: np.ndarray):
 def brute_force_f(n: int, d: int, index_cap: Optional[int] = None) -> SearchReport:
     """Exhaustive value of the degree-diameter function for n generators.
 
-    Scans indices downward from the cap and stops at the first index with a
-    witness lattice; the witness is the lexicographically least successful
-    HNF basis at that index.  With the default cap the scan is exhaustive.
-    A user-supplied cap below the true value yields the best value under
-    the cap, flagged non-exhaustive.  ``candidates_scanned`` counts the
-    lattices enumerated up to and including the witness.
+    Scans indices downward from the cap, the least proven one, and stops at
+    the first index with a witness lattice; the witness is the
+    lexicographically least successful HNF basis at that index.  With the
+    default cap the scan is exhaustive.  A user-supplied cap below the true
+    value yields the best value under the cap, flagged non-exhaustive.
+    ``candidates_scanned`` counts the lattices enumerated up to and
+    including the witness.
     """
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
     binomial_cap = simplex_size(n, d)
     paper_upper = fn_upper_bound(n, d) if n >= 2 else Fraction(d + 1)
-    default_cap = min(binomial_cap, math.floor(paper_upper))
+    # the paper's cap is proven for n <= 4; past that it is only reported
+    default_cap = min(binomial_cap, math.floor(paper_upper)) if n <= 4 else binomial_cap
     if index_cap is None:
         start = default_cap
         exhaustive = True

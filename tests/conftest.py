@@ -6,7 +6,9 @@ search over coset residues, tiles by the graded-lex walk of the whole
 orthant, notch candidates by a direct scan of the definition, continuous
 coverings by the grid falsifier that enumerates candidate lattice vectors
 in a box for every grid point, difference-tile vectors by reducing every
-point of the cube.  Tests compare package output against these.
+point of the cube, and region integrals by exact integration over the
+polytope their inequalities cut out.  Tests compare package output
+against these.
 """
 
 import itertools
@@ -254,29 +256,37 @@ def check_graded_positive_half(found, lattice, d):
     assert kept | negatives | origin == difference_body_by_cube(lattice, d)
 
 
-def _lattice_points_in_box(lattice, lo, hi):
-    """Lattice vectors v with lo <= v <= hi componentwise (rational bounds).
+def _lattice_points_in_box(lattice, lo, hi, min_sum):
+    """Lattice vectors v with lo <= v <= hi componentwise (rational bounds),
+    leaving out only vectors whose coordinate sum is below ``min_sum``.
 
     Walks integer combinations of the HNF rows back to front; each step pins
     one coordinate, so the ranges are exact and the enumeration complete.
+    The coordinates still to be pinned are at most hi, so a step that
+    leaves the sum unable to reach min_sum is not taken.  v is integral, so
+    every bound is first rounded inward to an integer.
     """
     n = lattice.dim
     basis = lattice.basis
+    lo = [math.ceil(a) for a in lo]
+    hi = [math.floor(b) for b in hi]
+    # what coordinate i must reach, less the sum of those pinned before it
+    need = [math.ceil(min_sum) - sum(hi[:i]) for i in range(n)]
 
-    def rec(i: int, acc: list):
+    def rec(i: int, acc: list, pinned: int):
         if i < 0:
             yield tuple(acc)
             return
         d = basis[i][i]
-        zlo = math.ceil(Fraction(lo[i] - acc[i], d))
-        zhi = math.floor(Fraction(hi[i] - acc[i], d))
+        zlo = -((acc[i] - max(lo[i], need[i] - pinned)) // d)
+        zhi = (hi[i] - acc[i]) // d
         # descending: vectors close to the upper corner come out first,
         # which lets covering queries succeed after a few candidates
         for z in range(zhi, zlo - 1, -1):
             nxt = [acc[j] + z * basis[i][j] for j in range(n)]
-            yield from rec(i - 1, nxt)
+            yield from rec(i - 1, nxt, pinned + nxt[i])
 
-    yield from rec(n - 1, [0] * n)
+    yield from rec(n - 1, [0] * n, 0)
 
 
 def grid_cover_falsify(n, D, lattice, resolution=4):
@@ -304,7 +314,68 @@ def grid_cover_falsify(n, D, lattice, resolution=4):
 
 def grid_point_covered(p, D: Fraction, lattice):
     lo = [pi - D for pi in p]
-    for v in _lattice_points_in_box(lattice, lo, p):
+    for v in _lattice_points_in_box(lattice, lo, p, sum(p) - D):
         if all(pi >= vi for pi, vi in zip(p, v)) and sum(p) - sum(v) <= D:
             return True
     return False
+
+
+def polytope_integral(halfspaces, f):
+    """Exact integral of the affine ``f`` over the bounded polytope
+    {x in R^3 : a.x <= b for every (a, b) in ``halfspaces``}, in Fraction.
+
+    The vertices are the feasible points where three independent planes
+    meet.  A facet is the set of vertices on one plane, taken once however
+    many halfspaces share the plane, and two vertices span an edge of a
+    facet when another facet holds both.  Coning each facet's edges to the
+    facet's centroid and then to the centroid c of all the vertices cuts
+    the polytope into tetrahedra, on each of which the integral of an
+    affine f is the volume times f at the tetrahedron's centroid.
+    """
+    def dot(a, x):
+        return sum(ai * xi for ai, xi in zip(a, x))
+
+    def centroid(points):
+        return tuple(sum(p[j] for p in points) / len(points) for j in range(3))
+
+    vertices = set()
+    for trio in itertools.combinations(halfspaces, 3):
+        det = det_laplace([a for a, _ in trio])
+        if det == 0:
+            continue
+        point = tuple(  # Cramer's rule
+            Fraction(det_laplace([[b if k == j else a[k] for k in range(3)] for a, b in trio]), det)
+            for j in range(3)
+        )
+        if all(dot(a, point) <= b for a, b in halfspaces):
+            vertices.add(point)
+    if len(vertices) < 4:
+        return Fraction(0)
+    c = centroid(vertices)
+    planes = {frozenset(p for p in vertices if dot(a, p) == b) for a, b in halfspaces}
+    facets = [face for face in planes if len(face) >= 3]
+    total = Fraction(0)
+    for face in facets:
+        g = centroid(face)
+        for p, q in itertools.combinations(face, 2):
+            if any(other != face and p in other and q in other for other in facets):
+                volume = abs(det_laplace([[x[j] - c[j] for j in range(3)] for x in (g, p, q)])) / 6
+                total += volume * f(centroid((c, g, p, q)))
+    return total
+
+
+def far_facet_region(d):
+    """The halfspaces of the no-notch region
+    {x >= 0, sum(x) <= d, d - sum(x) <= x_i}, as (a, b) for a.x <= b."""
+    axes = [tuple(int(k == i) for k in range(3)) for i in range(3)]
+    return (
+        [(tuple(-a for a in e), 0) for e in axes]
+        + [((1, 1, 1), d)]
+        + [(tuple(-1 - a for a in e), -d) for e in axes]
+    )
+
+
+def notch_pocket(d, v):
+    """The halfspaces of the pocket {x_i >= v, d - sum(x) >= v}."""
+    axes = [tuple(int(k == i) for k in range(3)) for i in range(3)]
+    return [(tuple(-a for a in e), -v) for e in axes] + [((1, 1, 1), d - v)]

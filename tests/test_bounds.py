@@ -34,6 +34,7 @@ from cayleycover import (
     tile_volume_bound_dim4,
 )
 from cayleycover import bounds
+from conftest import far_facet_region, notch_pocket, polytope_integral
 
 
 def random_rational_pairs(seed, count):
@@ -490,12 +491,29 @@ def test_pocket_volume_estimate():
 
 
 def test_quadrature_matches_closed_forms():
-    # v = 0 and v = d*/4 leave some pieces empty
+    # v = 0 is the empty slab, and v = d*/4 the whole no-notch region
     for d in (Fraction(1), Fraction(2), Fraction(7, 3)):
         assert integral_no_notch(d, method="quad").value == no_notch_integral_value(d)
         for v in (Fraction(0), d / 8, d / 7, d / 5, d / 4):
             est = integral_notch(NotchConfig(d, v), method="quad")
             assert est.value == notch_integral_value(d, v)
+
+
+def test_quadrature_matches_the_polytope_oracle():
+    # the slice quadrature and the closed forms against exact integration
+    # over the polytopes that the region's and the pocket's inequalities
+    # cut out, which knows nothing of the slices
+    for d in (Fraction(1), Fraction(7, 3), Fraction(5, 2), Fraction(11), Fraction(123456789, 7)):
+        def integrand(x):
+            return d - sum(x)
+
+        whole = polytope_integral(far_facet_region(d), integrand)
+        assert integral_no_notch(d, method="quad").value == no_notch_integral_value(d) == whole
+        for share in (Fraction(0), Fraction(1, 13), Fraction(1, 7), Fraction(3, 16), Fraction(1, 4)):
+            v = d * share
+            pocket = polytope_integral(far_facet_region(d) + notch_pocket(d, v), integrand)
+            est = integral_notch(NotchConfig(d, v), method="quad")
+            assert est.value == notch_integral_value(d, v) == whole - pocket
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -520,7 +538,7 @@ def test_estimate_metadata_and_errors():
     est = integral_no_notch(1.0, samples=1000, seed=5)
     assert est.method == "monte_carlo" and est.samples == 1000 and est.seed == 5
     quad = integral_no_notch(1.0, method="nested_quadrature")
-    assert quad.method == "nested_quadrature" and quad.std_error == 0.0
+    assert quad.method == "nested_quadrature" and quad.std_error == 0.0 and quad.samples == 1
     with pytest.raises(BadSampleCount):
         integral_no_notch(1.0, samples=0)
     with pytest.raises(ValueError):

@@ -272,7 +272,7 @@ def test_continuous_cover_threshold_is_diameter_plus_n():
     # L + solid radius-D simplex covers R^n iff D >= d(L) + n: the lift is tight.
     # Below it by n/16, the grid point at t = (16/17, ...) of the diameter
     # point's coset, with sum(t) = n - n/17, is uncovered
-    for lat in make_corpus(46, [(2, 30, 12), (5, 300, 3), (6, 30, 2)]) + [L5, L22, I2]:
+    for lat in make_corpus(46, [(2, 30, 12), (5, 300, 3), (6, 30, 2), (6, 400, 4)]) + [L5, L22, I2]:
         top = build_tile(lat).m_diameter + lat.dim
         below = top - Fraction(lat.dim, 16)
         assert continuous_cover_falsify(lat, top, 17) is None

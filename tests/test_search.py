@@ -156,6 +156,27 @@ def test_user_cap_marks_non_exhaustive():
     assert roomy.exhaustive
 
 
+def test_search_starts_at_the_least_proven_cap(monkeypatch):
+    # the paper's cap is below the binomial one at (4, 21) and (5, 44), but
+    # it is proven only for n <= 4.  The stub fits at the first index the
+    # search asks for, so nothing is scanned
+    assert math.floor(f4_upper_bound(21)) == 12_527 < simplex_size(4, 21)
+    assert math.floor(fn_upper_bound(5, 44)) < simplex_size(5, 44) == 1_906_884
+    asked = []
+
+    def fit_at_once(n, d, m, simplex):
+        asked.append(m)
+        rows = [[m if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)]
+        return 1, hnf_normalize(rows)
+
+    monkeypatch.setattr(search_mod, "_simplex", lambda n, d: None)
+    monkeypatch.setattr(search_mod, "_scan_index", fit_at_once)
+    for n, d, start in ((4, 21, 12_527), (5, 44, 1_906_884)):
+        report = brute_force_f(n, d)
+        assert asked == [start] and report.f_value == start and report.exhaustive
+        asked.clear()
+
+
 def test_search_beyond_64_sub_diagonal_cells():
     # n >= 12 has n(n-1)/2 > 64 sub-diagonal cells, more axes than an ndarray
     for n, d, cap, f_value in [(12, 1, 3, 3), (20, 2, 2, 2)]:
