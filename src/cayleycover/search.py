@@ -22,7 +22,13 @@ built only for the witness:
   points, m) cells, so a block is never held whole.
 - ``_fit_rows`` reduces the simplex through every row of a chunk at once,
   the diagonal a constant and the free cells array columns, and a row
-  fits when it yields all m mixed-radix residues.
+  fits when it yields all m mixed-radix residues.  Every reduction is a
+  floor division by a Python int, x mod a = x - (x // a) a: numpy divides
+  int64 by a scalar on a fast path (libdivide), while its ``divmod`` and
+  ``%`` take the general one, about ten times slower per element.  A
+  coordinate is reduced at the end only if no row's reduction left it in
+  [0, a).  Row k's residues are offset by k m, so one scatter into a
+  flat array of rows x m cells marks every row's cosets at once.
 - Within a block, C order is lexicographic order of the flattened basis,
   which is the order of ``enumerate_sublattices``; so a block's first
   fitting row is its least, and the witness is the least of the block
@@ -130,12 +136,14 @@ class SearchReport:
     exhaustive: bool
 
 
-def _free_cells(diag: Sequence[int]) -> list[tuple[int, int]]:
+@functools.lru_cache(maxsize=256)
+def _free_cells(diag: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """The sub-diagonal cells (i, j) that the HNFs with this diagonal can
     fill, in column order: those with diag[j] > 1.  Every other cell is
-    pinned to 0.  Cell (i, j) is column i(i-1)/2 + j of a key's cells."""
+    pinned to 0.  Cell (i, j) is column i(i-1)/2 + j of a key's cells.
+    Kept per diagonal, since every step of a block's scan asks for them."""
     big = [j for j, a in enumerate(diag) if a > 1]
-    return [(i, j) for i in range(len(diag)) for j in big if j < i]
+    return tuple((i, j) for i in range(len(diag)) for j in big if j < i)
 
 
 def _int64_safe(diag: Sequence[int], d: int) -> bool:
@@ -145,6 +153,8 @@ def _int64_safe(diag: Sequence[int], d: int) -> bool:
 
     Row i's quotient is at most the bound on coordinate i, and a free cell
     (i, j) is below diag[j], so coordinate j grows by at most that product.
+    A reduction x - (x // a) a has |(x // a) a| <= |x| + a - 1, at most
+    max(|x|, 1) a, which max(bound) max(diag) covers.
     """
     bound = [d] * len(diag)
     for i, j in reversed(_free_cells(diag)):
@@ -173,7 +183,9 @@ def _block_rows(diag: Sequence[int], lo: int, hi: int) -> np.ndarray:
     rows = np.zeros((hi - lo, n * (n - 1) // 2), dtype=np.int64)
     k = np.arange(lo, hi, dtype=np.int64)
     for i, j in reversed(_free_cells(diag)):
-        k, rows[:, i * (i - 1) // 2 + j] = np.divmod(k, diag[j])
+        q = k // diag[j]
+        rows[:, i * (i - 1) // 2 + j] = k - q * diag[j]
+        k = q
     return rows
 
 
@@ -223,32 +235,52 @@ def _fit_rows(diag: Sequence[int], cells: np.ndarray, simplex: np.ndarray) -> np
     every coset.
 
     From the last row up, a row i with free cells reduces coordinate i and
-    takes its quotient off the coordinates of those cells.  Every
-    coordinate j is then encoded mod diag[j], which is 0 when diag[j] = 1,
-    so only the others are encoded."""
+    takes its quotient off the coordinates of those cells.  Coordinate i is
+    then in [0, diag[i]); the others, and only those, are reduced at the
+    end.  Row k's residues are encoded in mixed radix after the offset k m,
+    so one flat scatter of rows x m cells marks the cosets of every row."""
     import numpy as np
+    free = _free_cells(diag)
+    m = math.prod(diag)
     r = list(simplex.T)  # coordinate j of every point; gains the row axis
-    reduced = len(diag)
-    for i, j in reversed(_free_cells(diag)):
-        if i < reduced:
-            reduced = i
-            q, r[i] = np.divmod(r[i], diag[i])
+    row = len(diag)
+    for i, j in reversed(free):
+        if i < row:
+            row, a = i, diag[i]
+            if a == 1:
+                q = r[i]  # coordinate i is not encoded
+            else:  # floor division by a Python int takes numpy's fast path
+                q = r[i] // a
+                r[i] = r[i] - q * a
         r[j] = r[j] - q * cells[:, i * (i - 1) // 2 + j, None]
-    residue = np.zeros((len(cells), len(simplex)), dtype=np.int64)
+    reduced = {i for i, _ in free}
+    flat = np.arange(0, len(cells) * m, m, dtype=np.int64)[:, None]
     stride = 1
     for j, a in enumerate(diag):
         if a > 1:
-            residue += r[j] % a * stride
+            x = r[j] if j in reduced else r[j] - r[j] // a * a
+            flat = flat + (x if stride == 1 else x * stride)
             stride *= a
-    seen = np.zeros((len(cells), stride), dtype=bool)
-    seen[np.arange(len(cells))[:, None], residue] = True
-    return seen.all(axis=1)
+    seen = np.zeros(len(cells) * m, dtype=bool)
+    seen[flat.ravel()] = True
+    return seen.reshape(len(cells), m).all(axis=1)
+
+
+def _chunk_rows(diag: Sequence[int], points: int) -> int:
+    """Rows per chunk of the diagonal's block: at most ``_CHUNK_CELLS``
+    cells of rows x max(points, m), m = prod(diag), and at least one row.
+
+    ``_fit_rows`` indexes rows x m cells, so its flat index stays below
+    max(_CHUNK_CELLS, m): a one-row chunk indexes m cells, which
+    ``_int64_safe`` keeps within int64, and a longer one at most
+    ``_CHUNK_CELLS``, far inside it."""
+    return max(1, _CHUNK_CELLS // max(points, math.prod(diag)))
 
 
 def _least_fit(diag: tuple[int, ...], d: int, simplex: np.ndarray, limit: int):
     """Cells of the first of the block's rows 0..limit-1 that fits, or None."""
     import numpy as np
-    size = max(1, _CHUNK_CELLS // max(len(simplex), math.prod(diag)))
+    size = _chunk_rows(diag, len(simplex))
     safe = _int64_safe(diag, d)
     for lo in range(0, limit, size):
         cells = _block_rows(diag, lo, min(lo + size, limit))

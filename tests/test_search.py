@@ -31,7 +31,7 @@ from cayleycover import (
     theta_lower_bound,
     tile_volume_bound_dim4,
 )
-from cayleycover.lattices import count_sublattices, divisors, enumerate_sublattices
+from cayleycover.lattices import count_sublattices, divisors, enumerate_sublattices, reduce_mod
 from conftest import bfs_quotient_diameter
 
 # (n, d) -> candidates_scanned, with f and the witness fixed by
@@ -423,6 +423,69 @@ def test_batched_fit_matches_scan_and_bfs(case):
     expected = [fits_diameter(lattice, d) for lattice in lattices]
     assert batched == expected
     assert expected == [bfs_quotient_diameter(lattice) <= d for lattice in lattices]
+
+
+@pytest.mark.parametrize("n, d, f_value, lattices", [(3, 3, 16, 3334), (5, 1, 6, 3751)])
+def test_fit_rows_match_the_scan_on_every_lattice_down_to_f(n, d, f_value, lattices):
+    # every lattice from the cap down to f, each checked on its own
+    simplex = search_mod._simplex(n, d)
+    cap = min(len(simplex), math.floor(fn_upper_bound(n, d))) if n <= 4 else len(simplex)
+    checked = fitting = 0
+    for m in range(cap, f_value - 1, -1):
+        for diag in search_mod._diagonals(n, m):
+            assert search_mod._int64_safe(diag, d)
+            cells = search_mod._block_rows(diag, 0, block_size(diag))
+            expected = [
+                fits_diameter(IntegerLattice(n, search_mod._basis(diag, row)), d)
+                for row in cells.tolist()
+            ]
+            assert search_mod._fit_rows(diag, cells, simplex).tolist() == expected
+            checked += len(expected)
+            fitting += sum(expected)
+    assert checked == lattices and fitting > 0
+
+
+def test_fit_rows_near_the_int64_bound_with_negative_intermediates():
+    # coordinates up to d, where one more would leave int64; with the last
+    # coordinate near d and the others near 0, the loop over free cells
+    # drives coordinates 0 and 1 to about -2d/3 before their reductions.
+    # One point per class mod 3 meets every coset here; each point's own
+    # multiple of 3 means a wrapped or truncated intermediate would show.
+    diag = (3, 3, 3)
+    d = search_mod._INT64_MAX // 27
+    assert search_mod._int64_safe(diag, d) and not search_mod._int64_safe(diag, d + 1)
+    rng = random.Random(27)
+    residues = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+    top = (d - 2) // 3
+    low = [(a, b, 3 * rng.randint(top - 10**6, top) + c) for a, b, c in residues]
+    spread = [tuple(3 * rng.randint(0, top) + x for x in r) for r in residues]
+    sets = [low, spread, low[:13] + spread[13:]]
+    sets += [s[:k] + s[k + 1:] for s in sets for k in (0, 13)]
+    cells = search_mod._block_rows(diag, 0, block_size(diag))
+    lattices = [IntegerLattice(3, search_mod._basis(diag, row)) for row in cells.tolist()]
+    seen = set()
+    for subset in sets:
+        got = search_mod._fit_rows(diag, cells, np.array(subset, dtype=np.int64)).tolist()
+        assert got == [len({reduce_mod(lattice, p) for p in subset}) == 27 for lattice in lattices]
+        seen.update(got)
+    assert seen == {True, False}
+
+
+def test_fit_test_flat_index_stays_within_int64():
+    # the fit test scatters rows x m cells through one flat index
+    assert search_mod._CHUNK_CELLS <= search_mod._INT64_MAX
+    assert search_mod._int64_safe((1 << 31, 1 << 31), 0)
+    assert not search_mod._int64_safe((1 << 32, 1 << 31), 0)
+    diags = [diag for n, m in [(2, 108), (3, 20), (3, 35), (4, 15), (5, 6)]
+             for diag in search_mod._diagonals(n, m)]
+    diags += [(1 << 21, 1, 1), (1 << 40, 1), (1, 1 << 20), (3, 5, 7, 11, 13, 17)]
+    for diag in diags:
+        m = math.prod(diag)
+        for points in (1, 35, 10**6, 10**7):
+            rows = search_mod._chunk_rows(diag, points)
+            assert rows >= 1
+            assert rows * max(points, m) <= search_mod._CHUNK_CELLS or rows == 1
+            assert rows * m <= max(search_mod._CHUNK_CELLS, m)
 
 
 def test_int64_fallback_gives_same_report(monkeypatch):
