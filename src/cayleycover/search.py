@@ -33,6 +33,18 @@ built only for the witness:
   which is the order of ``enumerate_sublattices``; so a block's first
   fitting row is its least, and the witness is the least of the block
   minima.  Each block is scanned only below the best key so far.
+- A block is skipped when, for some k < n, its last k diagonal entries
+  multiply to more than C(d+k, k).  Projecting onto the last k
+  coordinates maps Z^n/L onto a group of that order, and the simplex onto
+  the radius-d k-simplex, which has only C(d+k, k) points to cover it.
+- A block whose diagonal ends in t >= 2 ones tests one row per class of
+  its trailing t rows' cells under permutation.  Permuting those t
+  coordinates maps the simplex onto itself and the block onto itself, so
+  the verdict is constant on a class.  Each trailing row's free cells
+  form one base-m digit of the row number (the last t digits, the last
+  row least significant); the rows whose last t digits are
+  non-decreasing are the least of their classes, so they hold the
+  block's least fit.
 - ``candidates_scanned`` counts what ``enumerate_sublattices`` would
   yield up to and including the witness: every lattice of the indices
   above it, plus 1 + the witness's rank at its own index.  ``_rank``
@@ -162,6 +174,19 @@ def _int64_safe(diag: Sequence[int], d: int) -> bool:
     return max(max(bound) * max(diag), math.prod(diag)) <= _INT64_MAX
 
 
+def _ruled_out(diag: Sequence[int], d: int) -> bool:
+    """True iff, for some k in 1..n-1, the last k diagonal entries multiply
+    to more than C(d+k, k), so that no row of the block fits: the
+    projection onto the last k coordinates maps the quotient onto a group
+    of that order, and the simplex onto the radius-d k-simplex."""
+    tail = 1
+    for k in range(1, len(diag)):
+        tail *= diag[-k]
+        if tail > math.comb(d + k, k):
+            return True
+    return False
+
+
 def _diagonals(n: int, m: int) -> list[tuple[int, ...]]:
     """HNF diagonals of index m: ordered factorizations of m into n
     factors, in lexicographic order.  A head of leading factors that leaves
@@ -187,6 +212,30 @@ def _block_rows(diag: Sequence[int], lo: int, hi: int) -> np.ndarray:
         rows[:, i * (i - 1) // 2 + j] = k - q * diag[j]
         k = q
     return rows
+
+
+def _class_least(diag: Sequence[int], lo: int, hi: int) -> Optional[np.ndarray]:
+    """Mask of the block's rows lo..hi-1 that are the least of their class
+    under permuting the trailing rows with diagonal entry 1, or None when
+    fewer than two rows trail.  Each such row's free cells are one base-m
+    digit of the row number, the last row the least significant, and a row
+    is least when those digits are non-decreasing."""
+    import numpy as np
+    t = next((k for k, a in enumerate(reversed(diag)) if a > 1), len(diag))
+    if t < 2:
+        return None
+    m = math.prod(diag)
+    k = np.arange(lo, hi, dtype=np.int64)
+    q = k // m
+    low = k - q * m
+    keep = np.ones(hi - lo, dtype=bool)
+    for _ in range(t - 1):
+        k = q
+        q = k // m
+        digit = k - q * m
+        keep &= digit <= low
+        low = digit
+    return keep
 
 
 def _basis(diag: Sequence[int], cells: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -278,12 +327,17 @@ def _chunk_rows(diag: Sequence[int], points: int) -> int:
 
 
 def _least_fit(diag: tuple[int, ...], d: int, simplex: np.ndarray, limit: int):
-    """Cells of the first of the block's rows 0..limit-1 that fits, or None."""
+    """Cells of the first of the block's rows 0..limit-1 that fits, or None.
+    Only the least row of each class of ``_class_least`` is tested."""
     import numpy as np
     size = _chunk_rows(diag, len(simplex))
     safe = _int64_safe(diag, d)
     for lo in range(0, limit, size):
-        cells = _block_rows(diag, lo, min(lo + size, limit))
+        hi = min(lo + size, limit)
+        cells = _block_rows(diag, lo, hi)
+        keep = _class_least(diag, lo, hi)
+        if keep is not None:
+            cells = cells[keep]
         if safe:
             hits = np.flatnonzero(_fit_rows(diag, cells, simplex))
             if len(hits):
@@ -311,6 +365,8 @@ def _scan_index(n: int, d: int, m: int, simplex: np.ndarray):
         )
     best = None  # the key (diagonal, cells) of the least fit so far
     for diag, size in zip(diags, sizes):
+        if _ruled_out(diag, d):
+            continue
         # only rows below the best so far are scanned, so a fit replaces it
         cells = _least_fit(diag, d, simplex, size if best is None else _rank(diag, best))
         if cells is not None:
@@ -333,6 +389,12 @@ def brute_force_f(n: int, d: int, index_cap: Optional[int] = None) -> SearchRepo
     """
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
+    return _search(n, d, index_cap, _simplex(n, d))
+
+
+def _search(n: int, d: int, index_cap: Optional[int], simplex: np.ndarray) -> SearchReport:
+    """``brute_force_f`` on the C(d+n, n) points of the radius-d simplex,
+    in any order."""
     binomial_cap = simplex_size(n, d)
     paper_upper = fn_upper_bound(n, d) if n >= 2 else Fraction(d + 1)
     # the paper's cap is proven for n <= 4; past that it is only reported
@@ -346,7 +408,6 @@ def brute_force_f(n: int, d: int, index_cap: Optional[int] = None) -> SearchRepo
         start = min(index_cap, default_cap)
         exhaustive = index_cap >= default_cap
 
-    simplex = _simplex(n, d)
     scanned = 0
     for m in range(start, 0, -1):
         inspected, witness = _scan_index(n, d, m, simplex)
@@ -372,11 +433,17 @@ def density_trend(
 
     Each row carries the witness lattice attaining the minimum, for the CSV
     interface.  The densities approach the covering-density limit from
-    below as d grows.
+    below as d grows.  The simplex is built once, at the largest radius:
+    its points come shell by shell, so each radius searches on a prefix.
     """
+    if not d_values:
+        return []
+    if n < 1 or min(d_values) < 0:
+        raise ValueError("need n >= 1 and d >= 0")
+    simplex = _simplex(n, max(d_values))
     rows = []
     for d in d_values:
-        report = brute_force_f(n, d, index_cap=index_cap)
-        density = Fraction(simplex_size(n, d), report.f_value)
-        rows.append((d, density, report.witness))
+        size = simplex_size(n, d)
+        report = _search(n, d, index_cap, simplex[:size])
+        rows.append((d, Fraction(size, report.f_value), report.witness))
     return rows

@@ -276,6 +276,21 @@ def test_search_f_golden(capsys):
     assert out == (GOLDEN / "search_f_3_3.json").read_text()
 
 
+def test_search_f_golden_4_2(capsys):
+    assert main(["search-f", "--n", "4", "--d", "2"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r'\n  "elapsed_ms": \d+,\n', out)
+    out = re.sub(r'\n  "elapsed_ms": \d+,\n', "\n", out)
+    assert out == (GOLDEN / "search_f_4_2.json").read_text()
+
+
+def test_density_table_golden(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    assert main(["density-table", "--n", "3", "--d-range", "1..3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == (GOLDEN / "density_table_3_1_3.csv").read_text()
+
+
 EXACT_CHECKS = [
     "no_notch_volume_identity",
     "notch_bound_identity",

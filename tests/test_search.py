@@ -55,6 +55,13 @@ def block_size(diag):
     return math.prod(diag[j] ** (len(diag) - 1 - j) for j in range(len(diag)))
 
 
+def search_cap(n, d):
+    """Where the search starts: the binomial cap, and for n <= 4 the
+    paper's cap when it is lower."""
+    cap = simplex_size(n, d)
+    return min(cap, math.floor(fn_upper_bound(n, d))) if 2 <= n <= 4 else cap
+
+
 def hnf_key(basis):
     """The search key of an HNF basis: its diagonal and its sub-diagonal
     cells, row by row."""
@@ -429,9 +436,8 @@ def test_batched_fit_matches_scan_and_bfs(case):
 def test_fit_rows_match_the_scan_on_every_lattice_down_to_f(n, d, f_value, lattices):
     # every lattice from the cap down to f, each checked on its own
     simplex = search_mod._simplex(n, d)
-    cap = min(len(simplex), math.floor(fn_upper_bound(n, d))) if n <= 4 else len(simplex)
     checked = fitting = 0
-    for m in range(cap, f_value - 1, -1):
+    for m in range(search_cap(n, d), f_value - 1, -1):
         for diag in search_mod._diagonals(n, m):
             assert search_mod._int64_safe(diag, d)
             cells = search_mod._block_rows(diag, 0, block_size(diag))
@@ -443,6 +449,124 @@ def test_fit_rows_match_the_scan_on_every_lattice_down_to_f(n, d, f_value, latti
             checked += len(expected)
             fitting += sum(expected)
     assert checked == lattices and fitting > 0
+
+
+def sorted_representative(diag, row):
+    """The key cells of the HNF made by permuting the coordinates of the
+    trailing rows with diagonal entry 1 so that those rows' cells come in
+    sorted order.  Such a row is (cells, e_i), its cells 0 past the leading
+    coordinates, and the permutation maps the simplex onto itself."""
+    n = len(diag)
+    lead = n
+    while lead and diag[lead - 1] == 1:
+        lead -= 1
+    groups = sorted(tuple(row[i * (i - 1) // 2 : i * (i - 1) // 2 + lead]) for i in range(lead, n))
+    rep = list(row[: lead * (lead - 1) // 2])
+    for i, group in zip(range(lead, n), groups):
+        rep += list(group) + [0] * (i - lead)
+    return tuple(rep)
+
+
+def check_classes_and_skips(n, d, f_value):
+    """Over every block of every index from the search's cap down to f:
+    the fit test over all rows gives each row the verdict of its sorted
+    representative, the class mask keeps exactly the rows that are their
+    own representative (over any range of rows), and every block the
+    diagonal skip names holds no fit.  Returns the blocks skipped and the
+    rows masked."""
+    simplex = search_mod._simplex(n, d)
+    skipped = masked = 0
+    for m in range(search_cap(n, d), f_value - 1, -1):
+        for diag in search_mod._diagonals(n, m):
+            size = block_size(diag)
+            cells = search_mod._block_rows(diag, 0, size)
+            fits = search_mod._fit_rows(diag, cells, simplex).tolist()
+            if search_mod._ruled_out(diag, d):
+                assert not any(fits), diag
+                skipped += 1
+            rows = [tuple(row) for row in cells.tolist()]
+            verdict = dict(zip(rows, fits))
+            reps = [sorted_representative(diag, row) for row in rows]
+            assert [verdict[rep] for rep in reps] == fits, diag
+            least = [rep == row for rep, row in zip(reps, rows)]
+            for lo, hi in [(0, size), (size // 3, size), (1, (size + 1) // 2), (size - 1, size)]:
+                keep = search_mod._class_least(diag, lo, hi)
+                assert (least[lo:hi] if keep is None else keep.tolist()) == least[lo:hi]
+            masked += size - sum(least)
+    return skipped, masked
+
+
+# (n, d) -> (f, blocks the diagonal skip drops from the cap down to f)
+CLASS_POINTS = {(3, 3): (16, 27), (3, 4): (27, 57), (4, 2): (13, 24), (5, 1): (6, 17)}
+
+
+@pytest.mark.parametrize("n, d", sorted(CLASS_POINTS))
+def test_class_rows_share_their_verdict_and_skipped_blocks_hold_no_fit(n, d):
+    f_value, skipped = CLASS_POINTS[n, d]
+    assert check_classes_and_skips(n, d, f_value)[0] == skipped
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, d, f_value", [(3, 5, 40), (4, 3, 27)])
+def test_class_rows_and_skipped_blocks_at_larger_points(n, d, f_value):
+    skipped, masked = check_classes_and_skips(n, d, f_value)
+    assert skipped > 0 and masked > 0
+
+
+def flat_bases(diag, cells):
+    """Each row's HNF basis read row by row up to its diagonal entry, the
+    entries above it being 0 in every basis."""
+    n = len(diag)
+    cols = []
+    for i in range(n):
+        cols += [cells[:, i * (i - 1) // 2 + j] for j in range(i)]
+        cols.append(np.full(len(cells), diag[i], dtype=np.int64))
+    return np.stack(cols, axis=1)
+
+
+def unreduced_search(n, d, chunk=1 << 12):
+    """(f, witness basis, candidates_scanned) by fitting the rows of every
+    block, with no block skipped and no row masked; the witness's position
+    is counted by comparing flattened bases, not by ``_rank``."""
+    simplex = search_mod._simplex(n, d)
+    above = 0
+    for m in range(search_cap(n, d), 0, -1):
+        diags = search_mod._diagonals(n, m)
+        fits = []
+        for diag in diags:
+            size = block_size(diag)
+            for lo in range(0, size, chunk):
+                cells = search_mod._block_rows(diag, lo, min(lo + chunk, size))
+                hits = np.flatnonzero(search_mod._fit_rows(diag, cells, simplex))
+                if len(hits):
+                    fits.append(search_mod._basis(diag, cells[hits[0]].tolist()))
+                    break
+        if fits:
+            witness = min(fits)
+            key = np.array([v for i, row in enumerate(witness) for v in row[: i + 1]])
+            below = 0
+            for diag in diags:
+                size = block_size(diag)
+                for lo in range(0, size, chunk):
+                    flat = flat_bases(diag, search_mod._block_rows(diag, lo, min(lo + chunk, size)))
+                    differ = flat != key
+                    first = differ.argmax(axis=1)
+                    less = flat[np.arange(len(flat)), first] < key[first]
+                    below += int((differ.any(axis=1) & less).sum())
+            return m, witness, above + below + 1
+        above += sum(block_size(diag) for diag in diags)
+    raise AssertionError("the identity lattice always fits")
+
+
+@pytest.mark.parametrize(
+    "n, d",
+    [(2, d) for d in range(13)] + [(3, d) for d in range(5)] + [(4, d) for d in range(3)]
+    + [(5, 0), (5, 1), (6, 1), (7, 1)],
+)
+def test_search_matches_the_unreduced_scan(n, d):
+    report = brute_force_f(n, d)
+    got = (report.f_value, report.witness.basis, report.candidates_scanned)
+    assert got == unreduced_search(n, d)
 
 
 def test_fit_rows_near_the_int64_bound_with_negative_intermediates():
@@ -523,6 +647,21 @@ def test_density_trend_values():
         assert 1 <= density < Fraction(3, 2)
         assert density <= Fraction(3, 2) + Fraction(1, d + 2)
         assert build_tile(witness).m_diameter <= d
+
+
+def test_density_trend_searches_prefixes_of_one_simplex(monkeypatch):
+    expected = []
+    for d in (3, 1, 2, 3):
+        report = brute_force_f(3, d)
+        expected.append((d, Fraction(simplex_size(3, d), report.f_value), report.witness))
+    built = []
+    simplex = search_mod._simplex
+    monkeypatch.setattr(search_mod, "_simplex", lambda n, d: built.append(d) or simplex(n, d))
+    assert density_trend(3, [3, 1, 2, 3]) == expected
+    assert built == [3]
+    assert density_trend(3, []) == [] and built == [3]
+    with pytest.raises(ValueError, match="need n >= 1 and d >= 0"):
+        density_trend(3, [2, -1])
 
 
 def gap_fits(n, d):
