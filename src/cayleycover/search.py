@@ -44,7 +44,7 @@ built only for the witness:
   form one base-m digit of the row number (the last t digits, the last
   row least significant); the rows whose last t digits are
   non-decreasing are the least of their classes, so they hold the
-  block's least fit.
+  block's least fit.  ``_block_rows`` makes only those rows.
 - ``candidates_scanned`` counts what ``enumerate_sublattices`` would
   yield up to and including the witness: every lattice of the indices
   above it, plus 1 + the witness's rank at its own index.  ``_rank``
@@ -68,7 +68,9 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .covering import simplex_size
 from .errors import CapTooSmall
-# enumerate_sublattices is not called here: it fixes the order the search reproduces
+# enumerate_sublattices is not called here, but bench/tracing.py rebinds
+# search.enumerate_sublattices (as it rebinds search.fits_diameter), so the
+# name must stay bound
 from .lattices import (
     IntegerLattice,
     count_sublattices,
@@ -200,42 +202,34 @@ def _diagonals(n: int, m: int) -> list[tuple[int, ...]]:
 
 
 def _block_rows(diag: Sequence[int], lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of the diagonal's block as key cells, one column per
-    sub-diagonal cell: row k holds the mixed-radix digits of k in the free
-    cells, the last one the least significant, and 0 in the pinned ones."""
+    """The rows among lo..hi-1 of the diagonal's block that the search
+    tests, as key cells, one column per sub-diagonal cell: row k holds the
+    mixed-radix digits of k in the free cells, the last one the least
+    significant, and 0 in the pinned ones.  When the diagonal ends in
+    t >= 2 ones, only the k whose last t base-m digits are non-decreasing,
+    the least of their classes, are made."""
     import numpy as np
     n = len(diag)
-    rows = np.zeros((hi - lo, n * (n - 1) // 2), dtype=np.int64)
     k = np.arange(lo, hi, dtype=np.int64)
+    t = next((i for i, a in enumerate(reversed(diag)) if a > 1), n)
+    if t >= 2:
+        m = math.prod(diag)
+        q = k // m
+        low = k - q * m
+        keep = np.ones(len(k), dtype=bool)
+        for _ in range(t - 1):
+            rest = q
+            q = rest // m
+            digit = rest - q * m
+            keep &= digit <= low
+            low = digit
+        k = k[keep]
+    rows = np.zeros((len(k), n * (n - 1) // 2), dtype=np.int64)
     for i, j in reversed(_free_cells(diag)):
         q = k // diag[j]
         rows[:, i * (i - 1) // 2 + j] = k - q * diag[j]
         k = q
     return rows
-
-
-def _class_least(diag: Sequence[int], lo: int, hi: int) -> Optional[np.ndarray]:
-    """Mask of the block's rows lo..hi-1 that are the least of their class
-    under permuting the trailing rows with diagonal entry 1, or None when
-    fewer than two rows trail.  Each such row's free cells are one base-m
-    digit of the row number, the last row the least significant, and a row
-    is least when those digits are non-decreasing."""
-    import numpy as np
-    t = next((k for k, a in enumerate(reversed(diag)) if a > 1), len(diag))
-    if t < 2:
-        return None
-    m = math.prod(diag)
-    k = np.arange(lo, hi, dtype=np.int64)
-    q = k // m
-    low = k - q * m
-    keep = np.ones(hi - lo, dtype=bool)
-    for _ in range(t - 1):
-        k = q
-        q = k // m
-        digit = k - q * m
-        keep &= digit <= low
-        low = digit
-    return keep
 
 
 def _basis(diag: Sequence[int], cells: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -328,16 +322,12 @@ def _chunk_rows(diag: Sequence[int], points: int) -> int:
 
 def _least_fit(diag: tuple[int, ...], d: int, simplex: np.ndarray, limit: int):
     """Cells of the first of the block's rows 0..limit-1 that fits, or None.
-    Only the least row of each class of ``_class_least`` is tested."""
+    Only the rows ``_block_rows`` makes are tested."""
     import numpy as np
     size = _chunk_rows(diag, len(simplex))
     safe = _int64_safe(diag, d)
     for lo in range(0, limit, size):
-        hi = min(lo + size, limit)
-        cells = _block_rows(diag, lo, hi)
-        keep = _class_least(diag, lo, hi)
-        if keep is not None:
-            cells = cells[keep]
+        cells = _block_rows(diag, lo, min(lo + size, limit))
         if safe:
             hits = np.flatnonzero(_fit_rows(diag, cells, simplex))
             if len(hits):

@@ -55,6 +55,19 @@ def block_size(diag):
     return math.prod(diag[j] ** (len(diag) - 1 - j) for j in range(len(diag)))
 
 
+def all_rows(diag, lo, hi):
+    """Rows lo..hi-1 of the diagonal's whole block as key cells: row k holds
+    the mixed-radix digits of k over every sub-diagonal cell (i, j), of
+    range diag[j], the last cell the least significant; one divmod per
+    cell, and no row left out."""
+    shape = [diag[j] for i in range(len(diag)) for j in range(i)]
+    rows = np.empty((hi - lo, len(shape)), dtype=np.int64)
+    k = np.arange(lo, hi, dtype=np.int64)
+    for c in range(len(shape) - 1, -1, -1):
+        k, rows[:, c] = np.divmod(k, shape[c])
+    return rows
+
+
 def search_cap(n, d):
     """Where the search starts: the binomial cap, and for n <= 4 the
     paper's cap when it is lower."""
@@ -318,6 +331,35 @@ def test_larger_points_pinned():
         assert bfs_quotient_diameter(report.witness) <= d
 
 
+# (n, d) -> rows one brute_force_f sends to the fit test, after the
+# diagonal skip and with one row per class of trailing unit rows
+FIT_ROWS = {(2, 16): 39, (3, 3): 2041, (3, 4): 10845, (4, 2): 5264, (5, 1): 244}
+
+
+def fit_rows_tested(monkeypatch, n, d):
+    rows = []
+    fit_rows = search_mod._fit_rows
+
+    def counted(diag, cells, simplex):
+        rows.append(len(cells))
+        return fit_rows(diag, cells, simplex)
+
+    monkeypatch.setattr(search_mod, "_fit_rows", counted)
+    brute_force_f(n, d)
+    return sum(rows)
+
+
+@pytest.mark.parametrize("n, d", sorted(FIT_ROWS))
+def test_rows_reaching_the_fit_test_pinned(monkeypatch, n, d):
+    assert fit_rows_tested(monkeypatch, n, d) == FIT_ROWS[n, d]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, d, rows", [(5, 2, 211003), (4, 3, 216283)])
+def test_rows_reaching_the_fit_test_pinned_at_larger_points(monkeypatch, n, d, rows):
+    assert fit_rows_tested(monkeypatch, n, d) == rows
+
+
 def test_search_matches_enumerator_at_6_1():
     # f(6, 1) = 7 is the binomial cap, and in most diagonals of index 7 in
     # Z^6 every cell is pinned
@@ -340,7 +382,7 @@ def test_index_rows_match_enumerator(n, m, data):
     diags = list(search_mod._diagonals(n, m))
     rows = []
     for diag in diags:
-        cells = search_mod._block_rows(diag, 0, block_size(diag)).tolist()
+        cells = all_rows(diag, 0, block_size(diag)).tolist()
         block = [search_mod._basis(diag, c) for c in cells]
         assert block == sorted(block)  # C order is key order
         rows += block
@@ -360,27 +402,26 @@ def test_rank_rule_at_every_position(n, m):
 
 
 def test_block_rows_match_dividing_every_cell():
-    # the rows as made before cells of range 1 were skipped: one divmod
-    # per sub-diagonal cell
-    def every_cell(diag, lo, hi):
-        shape = [diag[j] for i in range(len(diag)) for j in range(i)]
-        rows = np.empty((hi - lo, len(shape)), dtype=np.int64)
-        k = np.arange(lo, hi, dtype=np.int64)
-        for c in range(len(shape) - 1, -1, -1):
-            k, rows[:, c] = np.divmod(k, shape[c])
-        return rows
-
+    # every row of the block when fewer than two unit entries trail the
+    # diagonal; else the rows whose row number's last t base-m digits,
+    # most significant first, are non-decreasing
     diags = [
         (1,), (5,), (1, 1), (1, 3), (3, 1), (1, 1, 3, 1, 2, 1), (2, 1, 1, 1, 1, 3),
         (1, 2, 1, 2, 1, 2, 1), (1,) * 12 + (2,), (3,) + (1,) * 10, (1,) * 40,
+        (2, 3, 1, 1, 1),
     ]
     for diag in diags:
         size = block_size(diag)
+        m = math.prod(diag)
+        t = len(diag) - max((i + 1 for i, a in enumerate(diag) if a > 1), default=0)
         for lo, hi in [(0, size), (0, 1), (size // 3, size), (size - 1, size)]:
             rows = search_mod._block_rows(diag, lo, hi)
-            expected = every_cell(diag, lo, hi)
+            expected = all_rows(diag, lo, hi)
+            if t >= 2:
+                digits = [[k // m**s % m for s in reversed(range(t))] for k in range(lo, hi)]
+                expected = expected[[ds == sorted(ds) for ds in digits]]
             assert rows.dtype == expected.dtype and rows.shape == expected.shape
-            assert np.array_equal(rows, expected)
+            assert np.array_equal(rows, expected), diag
 
 
 @st.composite
@@ -440,7 +481,7 @@ def test_fit_rows_match_the_scan_on_every_lattice_down_to_f(n, d, f_value, latti
     for m in range(search_cap(n, d), f_value - 1, -1):
         for diag in search_mod._diagonals(n, m):
             assert search_mod._int64_safe(diag, d)
-            cells = search_mod._block_rows(diag, 0, block_size(diag))
+            cells = all_rows(diag, 0, block_size(diag))
             expected = [
                 fits_diameter(IntegerLattice(n, search_mod._basis(diag, row)), d)
                 for row in cells.tolist()
@@ -470,16 +511,16 @@ def sorted_representative(diag, row):
 def check_classes_and_skips(n, d, f_value):
     """Over every block of every index from the search's cap down to f:
     the fit test over all rows gives each row the verdict of its sorted
-    representative, the class mask keeps exactly the rows that are their
-    own representative (over any range of rows), and every block the
+    representative, the search's row maker makes exactly the rows that are
+    their own representative (over any range of rows), and every block the
     diagonal skip names holds no fit.  Returns the blocks skipped and the
-    rows masked."""
+    rows never made."""
     simplex = search_mod._simplex(n, d)
     skipped = masked = 0
     for m in range(search_cap(n, d), f_value - 1, -1):
         for diag in search_mod._diagonals(n, m):
             size = block_size(diag)
-            cells = search_mod._block_rows(diag, 0, size)
+            cells = all_rows(diag, 0, size)
             fits = search_mod._fit_rows(diag, cells, simplex).tolist()
             if search_mod._ruled_out(diag, d):
                 assert not any(fits), diag
@@ -490,8 +531,8 @@ def check_classes_and_skips(n, d, f_value):
             assert [verdict[rep] for rep in reps] == fits, diag
             least = [rep == row for rep, row in zip(reps, rows)]
             for lo, hi in [(0, size), (size // 3, size), (1, (size + 1) // 2), (size - 1, size)]:
-                keep = search_mod._class_least(diag, lo, hi)
-                assert (least[lo:hi] if keep is None else keep.tolist()) == least[lo:hi]
+                made = [tuple(row) for row in search_mod._block_rows(diag, lo, hi).tolist()]
+                assert made == [row for row, own in zip(rows[lo:hi], least[lo:hi]) if own], diag
             masked += size - sum(least)
     return skipped, masked
 
@@ -536,7 +577,7 @@ def unreduced_search(n, d, chunk=1 << 12):
         for diag in diags:
             size = block_size(diag)
             for lo in range(0, size, chunk):
-                cells = search_mod._block_rows(diag, lo, min(lo + chunk, size))
+                cells = all_rows(diag, lo, min(lo + chunk, size))
                 hits = np.flatnonzero(search_mod._fit_rows(diag, cells, simplex))
                 if len(hits):
                     fits.append(search_mod._basis(diag, cells[hits[0]].tolist()))
@@ -548,7 +589,7 @@ def unreduced_search(n, d, chunk=1 << 12):
             for diag in diags:
                 size = block_size(diag)
                 for lo in range(0, size, chunk):
-                    flat = flat_bases(diag, search_mod._block_rows(diag, lo, min(lo + chunk, size)))
+                    flat = flat_bases(diag, all_rows(diag, lo, min(lo + chunk, size)))
                     differ = flat != key
                     first = differ.argmax(axis=1)
                     less = flat[np.arange(len(flat)), first] < key[first]
@@ -585,7 +626,7 @@ def test_fit_rows_near_the_int64_bound_with_negative_intermediates():
     spread = [tuple(3 * rng.randint(0, top) + x for x in r) for r in residues]
     sets = [low, spread, low[:13] + spread[13:]]
     sets += [s[:k] + s[k + 1:] for s in sets for k in (0, 13)]
-    cells = search_mod._block_rows(diag, 0, block_size(diag))
+    cells = all_rows(diag, 0, block_size(diag))
     lattices = [IntegerLattice(3, search_mod._basis(diag, row)) for row in cells.tolist()]
     seen = set()
     for subset in sets:
