@@ -39,6 +39,7 @@ from .covering import (
     simplex_size,
 )
 from .errors import (
+    BadBatteryInput,
     BadSampleCount,
     CapTooSmall,
     CayleyCoverError,

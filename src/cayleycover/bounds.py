@@ -58,7 +58,7 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .errors import BadSampleCount, DimensionMismatch
+from .errors import BadBatteryInput, BadSampleCount, DimensionMismatch
 
 if TYPE_CHECKING:
     import numpy as np
@@ -549,6 +549,13 @@ def bound_check_battery(
     quartic rises up to d*/7 and falls after it; no point d* i/40000 of the
     10^4-step grid hits d*/7, so the grid maximum is at one of the two
     points around it.
+
+    Inputs no check could be decided at raise ``BadBatteryInput``, before
+    any work: a seed outside [0, 2^64), by either method, as the stream key
+    holds 64 bits of it; d* <= 0, or a v outside [0, d*/4]; a d* whose
+    fourth power, and so the closed forms, overflow a float; and, by Monte
+    Carlo, a d* at which d*^4/384 rounds to 0, where every estimate and
+    its closed form would be 0 and pass.
     """
     # the checks decide by ==, so a float d* or v is taken at its exact
     # value; an int d* would turn d*/8 and the probes d* k/16 into floats
@@ -557,8 +564,24 @@ def bound_check_battery(
         vs = [d_star / 8, d_star / 7, d_star / 4]
     else:
         vs = [Fraction(v) for v in vs]
-    configs = [NotchConfig(d_star, v) for v in vs]
     mc = _normalize_method(method) == "monte_carlo"
+    if not 0 <= seed < 1 << 64:
+        raise BadBatteryInput(f"seed must lie in [0, 2^64), got {seed}")
+    try:
+        configs = [NotchConfig(d_star, v) for v in vs]
+    except ValueError as exc:
+        raise BadBatteryInput(str(exc)) from None
+    try:
+        float(d_star**4)
+    except OverflowError:
+        raise BadBatteryInput(
+            "d_star is too large: the closed forms (degree 4 in d*) do not fit in a float"
+        ) from None
+    if mc and float(d_star**4 / 384) == 0:
+        raise BadBatteryInput(
+            "d_star is too small for method mc: d*^4/384 rounds to 0 as a float, "
+            "so no estimate could miss its closed form; method quad is exact"
+        )
     tag = "mc" if mc else "quad"
 
     def integral(name, est, closed):

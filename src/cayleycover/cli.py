@@ -2,14 +2,17 @@
 
 Subcommands: ``tile``, ``cover``, ``density-table``, ``search-f``,
 ``verify-bounds``, ``theta-bounds``.  Parsed flags are the run
-configuration; every flag is validated before any computation starts and
-the random seed defaults to a fixed constant, so identical invocations
-reproduce identical results.  Exit codes: 0 success, 1 a mathematical claim
-failed (not a covering, a bound check failed), 2 usage error.
+configuration; the random seed defaults to a fixed constant, so identical
+invocations reproduce identical results.  Exit codes: 0 success, 1 a
+mathematical claim failed (not a covering, a bound check failed), 2 usage
+error or out of memory.
 
-``verify-bounds`` validates its flags, runs ``bounds.bound_check_battery``
-and renders the checks it returns; the battery and its pass gates live in
-``bounds``.
+Every integer flag has a least value, stated once in ``_LEAST`` and checked
+in ``main`` before any command runs.  ``verify-bounds`` runs
+``bounds.bound_check_battery`` and renders the checks it returns; the
+battery, its pass gates and its input rules live in ``bounds``, and its
+``BadBatteryInput`` is the one exception of a run that exits 2 as a usage
+error.
 
 JSON output is bit-stable: keys sorted, floats rounded to 12 significant
 digits, rationals emitted as ``{"num": ..., "den": ...}`` objects.  The
@@ -42,9 +45,9 @@ from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
-from . import bounds
+from . import __version__, bounds
 from .covering import continuous_cover_falsify, covers_discrete
-from .errors import CayleyCoverError
+from .errors import BadBatteryInput, CayleyCoverError
 from .lattices import IntegerLattice, lattice_from_json_dict, lattice_to_json_dict
 from .search import brute_force_f, density_trend, fn_upper_bound, theta_lower_bound
 from .tiles import build_tile, kernel_backend, tile_to_json_dict
@@ -52,6 +55,24 @@ from .tiles import build_tile, kernel_backend, tile_to_json_dict
 
 class UsageError(Exception):
     """A flag value the command cannot run with; exits with code 2."""
+
+
+# the least value of each integer flag; where several are bad, the first in
+# this order is reported.  A flag the command lacks, or leaves unset, is
+# skipped
+_LEAST = {
+    "n_max": 2, "n": 1, "index_cap": 1, "threads": 1, "d": 0,
+    "resolution": 1, "samples": 1, "nodes": 1,
+}
+_MUST_BE = {0: "nonnegative", 1: "a positive integer", 2: "at least 2"}
+
+
+def _check_least_values(args) -> None:
+    for dest, least in _LEAST.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < least:
+            flag = "--" + dest.replace("_", "-")
+            raise UsageError(f"{flag} must be {_MUST_BE[least]}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +194,6 @@ def _load_lattice(path: str) -> IntegerLattice:
             raise UsageError(f"{path} is not a lattice file: {exc}") from None
 
 
-def _check_search_flags(args) -> None:
-    """Validate the flags shared by the search commands."""
-    if args.n < 1:
-        raise UsageError(f"--n must be a positive integer, got {args.n}")
-    if args.index_cap is not None and args.index_cap < 1:
-        raise UsageError(f"--index-cap must be a positive integer, got {args.index_cap}")
-    if args.threads is not None and args.threads < 1:
-        raise UsageError(f"--threads must be a positive integer, got {args.threads}")
-
-
 # ---------------------------------------------------------------------------
 # tile
 
@@ -224,10 +235,6 @@ def _cmd_tile(args) -> int:
 # cover
 
 def _cmd_cover(args) -> int:
-    if args.d < 0:
-        raise UsageError(f"--d must be nonnegative, got {args.d}")
-    if args.resolution < 1:
-        raise UsageError(f"--resolution must be a positive integer, got {args.resolution}")
     lattice = _load_lattice(args.lattice)
     if lattice.dim != args.n:
         raise UsageError(f"--n is {args.n} but the lattice has dimension {lattice.dim}")
@@ -277,7 +284,6 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _cmd_density_table(args) -> int:
-    _check_search_flags(args)
     rows = density_trend(args.n, list(args.d_range), index_cap=args.index_cap)
     header = ["d", "best_density_num", "best_density_den", "witness_lattice"]
     table = [
@@ -297,9 +303,6 @@ def _cmd_density_table(args) -> int:
 # search-f
 
 def _cmd_search_f(args) -> int:
-    _check_search_flags(args)
-    if args.d < 0:
-        raise UsageError(f"--d must be nonnegative, got {args.d}")
     started = time.perf_counter()
     report = brute_force_f(args.n, args.d, index_cap=args.index_cap)
     elapsed_ms = int(round(1000 * (time.perf_counter() - started)))
@@ -322,27 +325,6 @@ def _cmd_search_f(args) -> int:
 # verify-bounds
 
 def _cmd_verify_bounds(args) -> int:
-    if args.samples < 1:
-        raise UsageError(f"--samples must be a positive integer, got {args.samples}")
-    if args.nodes < 1:
-        raise UsageError(f"--nodes must be a positive integer, got {args.nodes}")
-    if not 0 <= args.seed < 1 << 64:
-        raise UsageError(f"--seed must lie in [0, 2^64), got {args.seed}")
-    try:
-        bounds.NotchConfig(args.d_star, args.v if args.v is not None else 0)
-    except ValueError as exc:
-        raise UsageError(f"bad --d-star or --v: {exc}") from None
-    try:
-        float(args.d_star**4)
-    except OverflowError:
-        raise UsageError(
-            "--d-star is too large: the closed forms (degree 4 in d*) do not fit in a float"
-        ) from None
-    if args.method == "mc" and float(args.d_star**4 / 384) == 0:
-        raise UsageError(
-            "--d-star is too small for --method mc: d*^4/384 rounds to 0 as a float, "
-            "so no estimate could miss its closed form; --method quad is exact"
-        )
     vs = [args.v] if args.v is not None else None
     checks = bounds.bound_check_battery(
         args.d_star,
@@ -369,27 +351,19 @@ def _cmd_verify_bounds(args) -> int:
 # theta-bounds
 
 def _cmd_theta_bounds(args) -> int:
-    if args.n_max < 2:
-        raise UsageError(f"--n-max must be at least 2, got {args.n_max}")
-    if args.d is not None and args.d < 0:
-        raise UsageError(f"--d must be nonnegative, got {args.d}")
-    rows = []
+    header = ["n", "theta_lower_num", "theta_lower_den"]
+    if args.d is not None:
+        header += ["d", "f_upper_num", "f_upper_den"]
+    rows, table = [], []
     for n in range(2, args.n_max + 1):
-        row = {"n": n, "theta_lower": theta_lower_bound(n)}
+        theta = theta_lower_bound(n)
+        rows.append({"n": n, "theta_lower": theta})
+        table.append([n, theta.numerator, theta.denominator])
         if args.d is not None:
-            row["f_upper"] = fn_upper_bound(n, args.d)
-            row["d"] = args.d
-        rows.append(row)
+            f_upper = fn_upper_bound(n, args.d)
+            rows[-1].update(d=args.d, f_upper=f_upper)
+            table[-1] += [args.d, f_upper.numerator, f_upper.denominator]
     if args.csv:
-        header = ["n", "theta_lower_num", "theta_lower_den"]
-        if args.d is not None:
-            header += ["d", "f_upper_num", "f_upper_den"]
-        table = []
-        for row in rows:
-            cells = [row["n"], row["theta_lower"].numerator, row["theta_lower"].denominator]
-            if args.d is not None:
-                cells += [row["d"], row["f_upper"].numerator, row["f_upper"].denominator]
-            table.append(cells)
         emit_report((header, table), "csv", args.out)
     else:
         emit_report(rows, "json", args.out)
@@ -414,46 +388,46 @@ def _build_parser() -> argparse.ArgumentParser:
         "search, and bound verification",
     )
     parser.add_argument(
-        "--version", action="version", version=f"cayleycover (kernel: {kernel_backend()})"
+        "--version",
+        action="version",
+        version=f"cayleycover {__version__} (kernel: {kernel_backend()})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--n", type=int, required=True)
+    search.add_argument("--index-cap", type=int)
+    search.add_argument(
+        "--threads", type=int, help="accepted for compatibility; the search runs in one process"
+    )
 
-    p = sub.add_parser("tile", help="build and render the Cayley tile of a lattice")
+    p = sub.add_parser("tile", parents=[out], help="build and render the Cayley tile of a lattice")
     p.add_argument("--lattice", required=True, help="lattice JSON file")
     p.add_argument("--ascii", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_tile)
 
-    p = sub.add_parser("cover", help="decide whether a simplex plus lattice covers Z^n")
+    p = sub.add_parser(
+        "cover", parents=[out], help="decide whether a simplex plus lattice covers Z^n"
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--lattice", required=True)
     p.add_argument("--continuous", action="store_true")
     p.add_argument("--resolution", type=int, default=4)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_cover)
 
-    p = sub.add_parser("density-table", help="minimum covering densities per radius")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d-range", type=_parse_d_range, required=True, metavar="A..B")
-    p.add_argument("--index-cap", type=int)
-    p.add_argument(
-        "--threads", type=int, help="accepted for compatibility; the search runs in one process"
+    p = sub.add_parser(
+        "density-table", parents=[search, out], help="minimum covering densities per radius"
     )
-    p.add_argument("--out")
+    p.add_argument("--d-range", type=_parse_d_range, required=True, metavar="A..B")
     p.set_defaults(func=_cmd_density_table)
 
-    p = sub.add_parser("search-f", help="exhaustive degree-diameter value")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("search-f", parents=[search, out], help="exhaustive degree-diameter value")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--index-cap", type=int)
-    p.add_argument(
-        "--threads", type=int, help="accepted for compatibility; the search runs in one process"
-    )
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_search_f)
 
-    p = sub.add_parser("verify-bounds", help="check the volume bounds numerically")
+    p = sub.add_parser("verify-bounds", parents=[out], help="check the volume bounds numerically")
     p.add_argument("--d-star", type=_parse_fraction, default=Fraction(1))
     p.add_argument("--v", type=_parse_fraction)
     p.add_argument("--samples", type=int, default=1_000_000)
@@ -464,30 +438,33 @@ def _build_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility; no effect, the quadrature is exact",
     )
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_verify_bounds)
 
-    p = sub.add_parser("theta-bounds", help="covering-density and order bound tables")
+    p = sub.add_parser(
+        "theta-bounds", parents=[out], help="covering-density and order bound tables"
+    )
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--d", type=int)
     p.add_argument("--csv", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_theta_bounds)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
+        _check_least_values(args)
         return args.func(args)
+    except (OSError, UsageError, BadBatteryInput) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except CayleyCoverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -43,3 +43,8 @@ class CapTooSmall(CayleyCoverError):
 
 class BadSampleCount(CayleyCoverError):
     """A Monte-Carlo estimate was requested with fewer than one sample."""
+
+
+class BadBatteryInput(CayleyCoverError, ValueError):
+    """The verification battery was given a d*, v or seed it cannot decide
+    its checks at."""

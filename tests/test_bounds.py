@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleycover import (
+    BadBatteryInput,
     BadSampleCount,
     DimensionMismatch,
     IntegralEstimate,
@@ -324,6 +325,24 @@ def test_battery_names_checks_by_canonical_method():
         assert all(run == runs[0] for run in runs)
         names = [c["name"] for c in runs[0]]
         assert f"integral_no_notch[{tag}]" in names and f"integral_notch[{tag}] v=7/24" in names
+
+def test_battery_refuses_inputs_it_cannot_decide():
+    # below about 1e-80 every Monte-Carlo estimate and its closed form are
+    # 0.0, so each check would pass; the exact quadrature still decides
+    tiny = Fraction(1, 10**81)
+    with pytest.raises(BadBatteryInput, match="too small for method mc"):
+        bounds.bound_check_battery(tiny, method="mc")
+    assert all(c.passed for c in bounds.bound_check_battery(tiny, method="quad"))
+    # d*^4 overflows a float, which every closed form is reported as
+    for method in ("mc", "quad"):
+        with pytest.raises(BadBatteryInput, match="too large"):
+            bounds.bound_check_battery(10**100, method=method)
+    # the seed, d* and v rules hold for both methods, before any work
+    for kwargs in ({"seed": 2**64}, {"seed": -1}, {"d_star": 0}, {"vs": [Fraction(1, 2)]}):
+        args = {"d_star": 1, "method": "quad", **kwargs}
+        with pytest.raises(BadBatteryInput):
+            bounds.bound_check_battery(**args)
+
 
 def test_seed_outside_64_bits_raises():
     # the stream key holds 64 bits of seed: 2^64 + 1729 would alias 1729

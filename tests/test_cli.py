@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cayleycover
 from cayleycover import bounds, build_tile, cli, covering, fn_upper_bound
 from cayleycover.cli import emit_report, main
 from cayleycover.lattices import lattice_to_json_dict
@@ -563,6 +566,98 @@ def test_usage_error_exits_2(tmp_path, lattice_file, capsys):
         assert [line for line in captured.err.splitlines() if "error:" in line] == [
             f"cayleycover {argv[0]}: error: {error}"
         ]
+
+
+# one bad value per integer flag and command, with its one stderr line; the
+# texts are those each command printed when it checked its own flags, but
+# for cover --n, which the lattice's dimension check used to catch. Where
+# several flags are bad, the first in _LEAST's order is reported.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["search-f", "--n", "0", "--d", "2"], "--n must be a positive integer, got 0"),
+        (["search-f", "--n", "2", "--d", "-1"], "--d must be nonnegative, got -1"),
+        (["search-f", "--n", "2", "--d", "2", "--index-cap", "0"],
+         "--index-cap must be a positive integer, got 0"),
+        (["search-f", "--n", "2", "--d", "2", "--threads", "-4"],
+         "--threads must be a positive integer, got -4"),
+        (["density-table", "--n", "-1", "--d-range", "1..2"],
+         "--n must be a positive integer, got -1"),
+        (["density-table", "--n", "2", "--d-range", "1..2", "--index-cap", "-1"],
+         "--index-cap must be a positive integer, got -1"),
+        (["density-table", "--n", "2", "--d-range", "1..2", "--threads", "0"],
+         "--threads must be a positive integer, got 0"),
+        (["cover", "--n", "0", "--d", "2"], "--n must be a positive integer, got 0"),
+        (["cover", "--n", "2", "--d", "-1"], "--d must be nonnegative, got -1"),
+        (["cover", "--n", "2", "--d", "2", "--resolution", "0"],
+         "--resolution must be a positive integer, got 0"),
+        (["verify-bounds", "--samples", "0"], "--samples must be a positive integer, got 0"),
+        (["verify-bounds", "--nodes", "-1"], "--nodes must be a positive integer, got -1"),
+        (["theta-bounds", "--n-max", "1"], "--n-max must be at least 2, got 1"),
+        (["theta-bounds", "--d", "-1"], "--d must be nonnegative, got -1"),
+        (["search-f", "--n", "2", "--d", "-1", "--index-cap", "0", "--threads", "0"],
+         "--index-cap must be a positive integer, got 0"),
+        (["theta-bounds", "--n-max", "0", "--d", "-1"], "--n-max must be at least 2, got 0"),
+        (["verify-bounds", "--samples", "0", "--nodes", "0", "--seed", "-1"],
+         "--samples must be a positive integer, got 0"),
+    ],
+)
+def test_integer_flag_errors_byte_for_byte(argv, message, lattice_file, capsys):
+    if argv[0] == "cover":
+        argv = argv + ["--lattice", lattice_file]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_battery_input_errors_exit_2_and_nothing_else_does(monkeypatch, capsys):
+    assert main(["verify-bounds", "--method", "quad", "--seed", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: seed must lie in [0, 2^64), got -1\n")
+    # an error of the run itself is not a usage error
+    def broken(*args):
+        raise ValueError("not an input error")
+
+    monkeypatch.setattr(bounds, "_region_estimates", broken)
+    with pytest.raises(ValueError, match="not an input error"):
+        main(["verify-bounds", "--method", "quad"])
+
+
+def test_out_of_memory_exits_2(lattice_file, monkeypatch, capsys):
+    def exhausted(lattice):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_tile", exhausted)
+    assert main(["tile", "--lattice", lattice_file]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
+def test_out_of_memory_exits_2_under_an_address_space_limit(tmp_path):
+    # det 10^15 asks the tile scan for a 10^15-byte table; the limit
+    # applies to the child alone
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 1, "basis": [[10**15]]}))
+
+    def limit():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    src = str(Path(cli.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "cayleycover.cli", "tile", "--lattice", str(path)],
+        capture_output=True, text=True, preexec_fn=limit, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", "error: out of memory\n")
+
+
+def test_version_names_the_package_version(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["--version"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out == f"cayleycover {cayleycover.__version__} (kernel: numpy)\n"
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "(.*)"$', pyproject, re.M)[1] == cayleycover.__version__
 
 
 def test_shared_parser_keeps_no_state_between_calls(tmp_path, lattice_file, capsys):

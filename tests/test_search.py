@@ -374,6 +374,32 @@ def test_search_matches_enumerator_at_6_1():
     assert report.candidates_scanned == 6069
 
 
+# f pinned by a second path, which shares no code with the batched fit
+# test: fits_diameter over enumerate_sublattices, from the search's cap down
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "n, d, f_value, witness, scanned",
+    [
+        (3, 6, 57, ((19, 0, 0), (4, 3, 0), (13, 2, 1)), 276987),
+        (3, 7, 84, ((12, 0, 0), (2, 7, 0), (9, 6, 1)), 769204),
+    ],
+)
+def test_f_pinned_by_the_enumerator(n, d, f_value, witness, scanned):
+    def first_fit():
+        k = 0
+        for m in range(search_cap(n, d), 0, -1):
+            for lattice in enumerate_sublattices(n, m):
+                k += 1
+                if fits_diameter(lattice, d):
+                    return m, lattice, k
+
+    m, lattice, k = first_fit()
+    assert (m, lattice.basis, k) == (f_value, witness, scanned)
+    report = brute_force_f(n, d)
+    assert (report.f_value, report.witness.basis, report.candidates_scanned) == (m, witness, k)
+    assert bfs_quotient_diameter(lattice) <= d
+
+
 # an index of Z^4 below 40 holds up to 2e5 lattices; the oracle builds each
 @settings(max_examples=12, deadline=None, database=None)
 @given(st.integers(1, 4), st.integers(1, 40), st.data())
