@@ -568,10 +568,9 @@ def test_usage_error_exits_2(tmp_path, lattice_file, capsys):
         ]
 
 
-# one bad value per integer flag and command, with its one stderr line; the
-# texts are those each command printed when it checked its own flags, but
-# for cover --n, which the lattice's dimension check used to catch. Where
-# several flags are bad, the first in _LEAST's order is reported.
+# one bad value per integer flag and command, with its one stderr line, byte
+# for byte; where several flags are bad, the first in _LEAST's order is
+# reported
 @pytest.mark.parametrize(
     "argv, message",
     [
