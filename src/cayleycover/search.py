@@ -9,12 +9,13 @@ proves only there; the test suite verifies both independently.
 
 A lattice's tile has diameter at most d exactly when the C(d+n, n) points
 of the radius-d simplex meet every coset.  The search tests that on whole
-indices held as int64 arrays.  Its unit is the HNF key: the diagonal
-(d0, ..., d_{n-1}) plus the sub-diagonal cells in row-major order (1,0),
-(2,0), (2,1), (3,0), ..., cell (i, j) in column i(i-1)/2 + j and ranging
-over [0, d_j).  A cell with d_j = 1 is pinned to 0; ``_free_cells`` names
-the others, and every step below walks only them.  A lattice object is
-built only for the witness:
+indices held as int32 arrays, or int64 ones where int32 could overflow.
+Its unit is the HNF key: the diagonal (d0, ..., d_{n-1}) plus the
+sub-diagonal cells in row-major order (1,0), (2,0), (2,1), (3,0), ...,
+cell (i, j) in column i(i-1)/2 + j and ranging over [0, d_j).  A cell
+with d_j = 1 is pinned to 0; ``_free_cells`` names the others, and every
+step below walks only them.  A lattice object is built only for the
+witness:
 
 - The HNFs of index m fall into one block per diagonal with product m.
   Row k of a block holds the mixed-radix digits of k in its free cells.
@@ -24,11 +25,12 @@ built only for the witness:
   the diagonal a constant and the free cells array columns, and a row
   fits when it yields all m mixed-radix residues.  Every reduction is a
   floor division by a Python int, x mod a = x - (x // a) a: numpy divides
-  int64 by a scalar on a fast path (libdivide), while its ``divmod`` and
-  ``%`` take the general one, about ten times slower per element.  A
-  coordinate is reduced at the end only if no row's reduction left it in
-  [0, a).  Row k's residues are offset by k m, so one scatter into a
-  flat array of rows x m cells marks every row's cosets at once.
+  an int32 or int64 array by a scalar on a fast path (libdivide), while
+  its ``divmod`` and ``%`` take the general one, about ten times slower
+  per element.  A coordinate is reduced at the end only if no row's
+  reduction left it in [0, a).  Row k's residues are offset by k m, so
+  one scatter into a flat array of rows x m cells marks every row's
+  cosets at once.
 - Within a block, C order is lexicographic order of the flattened basis,
   which is the order of ``enumerate_sublattices``; so a block's first
   fitting row is its least, and the witness is the least of the block
@@ -50,7 +52,9 @@ built only for the witness:
   above it, plus 1 + the witness's rank at its own index.  ``_rank``
   counts a block's rows below a key from the key's free cells, up to the
   first diagonal entry where the two differ.
-- ``_int64_safe`` is checked once per block.  A block whose intermediates
+- ``_fit_type`` picks each block's type once, from a worst-case bound on
+  the values its arrays can take: int32 when the bound allows, which
+  halves the memory each chunk moves, else int64.  A block whose values
   could leave int64 is tested lattice by lattice with the exact scan
   ``fits_diameter`` instead.
 
@@ -83,7 +87,10 @@ if TYPE_CHECKING:
     import numpy as np
 # a cap on rows x max(simplex points, index) per batch
 _CHUNK_CELLS = 1 << 20
-_INT64_MAX = 2**63 - 1
+# the types the fit test runs in, narrowest first, with their largest
+# values; a chunk's flat index stays below max(_CHUNK_CELLS, m), and
+# _CHUNK_CELLS is far inside each
+_FIT_TYPES = (("int32", 2**31 - 1), ("int64", 2**63 - 1))
 
 
 def f2_closed_form(d: int) -> int:
@@ -160,20 +167,25 @@ def _free_cells(diag: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(len(diag)) for j in big if j < i)
 
 
-def _int64_safe(diag: Sequence[int], d: int) -> bool:
-    """True iff reducing points with coordinates in [0, d] through any HNF
-    with this diagonal, and encoding the residues in mixed radix, keeps
-    every intermediate within int64.
+def _fit_type(diag: Sequence[int], d: int) -> Optional[str]:
+    """The narrowest integer type of ``_FIT_TYPES``, int32 and then int64,
+    that holds every value the block's arrays take when points with
+    coordinates in [0, d] are reduced through its HNFs, or None when
+    neither does.
 
     Row i's quotient is at most the bound on coordinate i, and a free cell
     (i, j) is below diag[j], so coordinate j grows by at most that product.
     A reduction x - (x // a) a has |(x // a) a| <= |x| + a - 1, at most
-    max(|x|, 1) a, which max(bound) max(diag) covers.
+    max(|x|, 1) a, which max(bound) max(diag) covers.  The flat index
+    stays below max(_CHUNK_CELLS, prod(diag)) (see ``_chunk_rows``), and
+    the row numbers below the block's row count.
     """
+    free = _free_cells(diag)
     bound = [d] * len(diag)
-    for i, j in reversed(_free_cells(diag)):
+    for i, j in reversed(free):
         bound[j] += bound[i] * (diag[j] - 1)
-    return max(max(bound) * max(diag), math.prod(diag)) <= _INT64_MAX
+    top = max(max(bound) * max(diag), math.prod(diag), math.prod(diag[j] for _, j in free))
+    return next((name for name, most in _FIT_TYPES if top <= most), None)
 
 
 def _ruled_out(diag: Sequence[int], d: int) -> bool:
@@ -201,16 +213,17 @@ def _diagonals(n: int, m: int) -> list[tuple[int, ...]]:
     return sorted(diags + [head + (rest,) for head, rest in heads])
 
 
-def _block_rows(diag: Sequence[int], lo: int, hi: int) -> np.ndarray:
+def _block_rows(diag: Sequence[int], lo: int, hi: int, dtype: str) -> np.ndarray:
     """The rows among lo..hi-1 of the diagonal's block that the search
-    tests, as key cells, one column per sub-diagonal cell: row k holds the
-    mixed-radix digits of k in the free cells, the last one the least
-    significant, and 0 in the pinned ones.  When the diagonal ends in
-    t >= 2 ones, only the k whose last t base-m digits are non-decreasing,
-    the least of their classes, are made."""
+    tests, as key cells of integer type ``dtype``, one column per
+    sub-diagonal cell: row k holds the mixed-radix digits of k in the free
+    cells, the last one the least significant, and 0 in the pinned ones.
+    When the diagonal ends in t >= 2 ones, only the k whose last t base-m
+    digits are non-decreasing, the least of their classes, are made.  The
+    row numbers are made in ``dtype`` too, so it must hold hi."""
     import numpy as np
     n = len(diag)
-    k = np.arange(lo, hi, dtype=np.int64)
+    k = np.arange(lo, hi, dtype=dtype)
     t = next((i for i, a in enumerate(reversed(diag)) if a > 1), n)
     if t >= 2:
         m = math.prod(diag)
@@ -224,7 +237,7 @@ def _block_rows(diag: Sequence[int], lo: int, hi: int) -> np.ndarray:
             keep &= digit <= low
             low = digit
         k = k[keep]
-    rows = np.zeros((len(k), n * (n - 1) // 2), dtype=np.int64)
+    rows = np.zeros((len(k), n * (n - 1) // 2), dtype=dtype)
     for i, j in reversed(_free_cells(diag)):
         q = k // diag[j]
         rows[:, i * (i - 1) // 2 + j] = k - q * diag[j]
@@ -281,11 +294,13 @@ def _fit_rows(diag: Sequence[int], cells: np.ndarray, simplex: np.ndarray) -> np
     takes its quotient off the coordinates of those cells.  Coordinate i is
     then in [0, diag[i]); the others, and only those, are reduced at the
     end.  Row k's residues are encoded in mixed radix after the offset k m,
-    so one flat scatter of rows x m cells marks the cosets of every row."""
+    so one flat scatter of rows x m cells marks the cosets of every row.
+    Every array is of the cells' integer type, the simplex cast to it."""
     import numpy as np
     free = _free_cells(diag)
     m = math.prod(diag)
-    r = list(simplex.T)  # coordinate j of every point; gains the row axis
+    # coordinate j of every point; gains the row axis
+    r = list(simplex.astype(cells.dtype, copy=False).T)
     row = len(diag)
     for i, j in reversed(free):
         if i < row:
@@ -297,7 +312,7 @@ def _fit_rows(diag: Sequence[int], cells: np.ndarray, simplex: np.ndarray) -> np
                 r[i] = r[i] - q * a
         r[j] = r[j] - q * cells[:, i * (i - 1) // 2 + j, None]
     reduced = {i for i, _ in free}
-    flat = np.arange(0, len(cells) * m, m, dtype=np.int64)[:, None]
+    flat = np.arange(0, len(cells) * m, m, dtype=cells.dtype)[:, None]
     stride = 1
     for j, a in enumerate(diag):
         if a > 1:
@@ -315,8 +330,8 @@ def _chunk_rows(diag: Sequence[int], points: int) -> int:
 
     ``_fit_rows`` indexes rows x m cells, so its flat index stays below
     max(_CHUNK_CELLS, m): a one-row chunk indexes m cells, which
-    ``_int64_safe`` keeps within int64, and a longer one at most
-    ``_CHUNK_CELLS``, far inside it."""
+    ``_fit_type`` keeps within the block's type, and a longer one at most
+    ``_CHUNK_CELLS``, far inside int32."""
     return max(1, _CHUNK_CELLS // max(points, math.prod(diag)))
 
 
@@ -325,10 +340,10 @@ def _least_fit(diag: tuple[int, ...], d: int, simplex: np.ndarray, limit: int):
     Only the rows ``_block_rows`` makes are tested."""
     import numpy as np
     size = _chunk_rows(diag, len(simplex))
-    safe = _int64_safe(diag, d)
+    dtype = _fit_type(diag, d)
     for lo in range(0, limit, size):
-        cells = _block_rows(diag, lo, min(lo + size, limit))
-        if safe:
+        cells = _block_rows(diag, lo, min(lo + size, limit), dtype or "int64")
+        if dtype is not None:
             hits = np.flatnonzero(_fit_rows(diag, cells, simplex))
             if len(hits):
                 return cells[hits[0]].tolist()

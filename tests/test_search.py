@@ -430,7 +430,7 @@ def test_rank_rule_at_every_position(n, m):
 def test_block_rows_match_dividing_every_cell():
     # every row of the block when fewer than two unit entries trail the
     # diagonal; else the rows whose row number's last t base-m digits,
-    # most significant first, are non-decreasing
+    # most significant first, are non-decreasing; in either integer type
     diags = [
         (1,), (5,), (1, 1), (1, 3), (3, 1), (1, 1, 3, 1, 2, 1), (2, 1, 1, 1, 1, 3),
         (1, 2, 1, 2, 1, 2, 1), (1,) * 12 + (2,), (3,) + (1,) * 10, (1,) * 40,
@@ -441,13 +441,28 @@ def test_block_rows_match_dividing_every_cell():
         m = math.prod(diag)
         t = len(diag) - max((i + 1 for i, a in enumerate(diag) if a > 1), default=0)
         for lo, hi in [(0, size), (0, 1), (size // 3, size), (size - 1, size)]:
-            rows = search_mod._block_rows(diag, lo, hi)
             expected = all_rows(diag, lo, hi)
             if t >= 2:
                 digits = [[k // m**s % m for s in reversed(range(t))] for k in range(lo, hi)]
                 expected = expected[[ds == sorted(ds) for ds in digits]]
-            assert rows.dtype == expected.dtype and rows.shape == expected.shape
-            assert np.array_equal(rows, expected), diag
+            for dtype in ("int32", "int64"):
+                rows = search_mod._block_rows(diag, lo, hi, dtype)
+                assert rows.dtype == dtype and rows.shape == expected.shape
+                assert np.array_equal(rows, expected), diag
+    # 1291^3 rows pass 2^31 - 1, though the reduction bound at d = 1 is far
+    # inside it, and 1290^3 rows do not: the row numbers pick the type
+    assert search_mod._fit_type((1290, 1, 1, 1), 1) == "int32"
+    diag = (1291, 1, 1, 1)
+    dtype = search_mod._fit_type(diag, 1)
+    assert dtype == "int64"
+    # the first row number past 2^31 whose digits are non-decreasing
+    first = 1288 * 1291**2 + 1288 * 1291
+    assert 2**31 < first < 2**31 + 10**6
+    for lo, hi in [(first - 2000, first + 2000), (1291**3 - 1291, 1291**3)]:
+        digits = [[k // 1291**s % 1291 for s in (2, 1, 0)] for k in range(lo, hi)]
+        expected = [[ds[0], ds[1], 0, ds[2], 0, 0] for ds in digits if ds == sorted(ds)]
+        rows = search_mod._block_rows(diag, lo, hi, dtype)
+        assert len(expected) > 0 and rows.tolist() == expected
 
 
 @st.composite
@@ -492,8 +507,11 @@ def test_batched_fit_matches_scan_and_bfs(case):
             [[v for i, row in enumerate(lattices[pos].basis) for v in row[:i]] for pos in members],
             dtype=np.int64,
         ).reshape(len(members), n * (n - 1) // 2)
-        for pos, fits in zip(members, search_mod._fit_rows(diag, cells, simplex)):
-            batched[pos] = bool(fits)
+        fits = search_mod._fit_rows(diag, cells, simplex)
+        assert search_mod._fit_type(diag, d) == "int32"
+        assert np.array_equal(search_mod._fit_rows(diag, cells.astype(np.int32), simplex), fits)
+        for pos, fit in zip(members, fits):
+            batched[pos] = bool(fit)
     expected = [fits_diameter(lattice, d) for lattice in lattices]
     assert batched == expected
     assert expected == [bfs_quotient_diameter(lattice) <= d for lattice in lattices]
@@ -506,13 +524,14 @@ def test_fit_rows_match_the_scan_on_every_lattice_down_to_f(n, d, f_value, latti
     checked = fitting = 0
     for m in range(search_cap(n, d), f_value - 1, -1):
         for diag in search_mod._diagonals(n, m):
-            assert search_mod._int64_safe(diag, d)
+            assert search_mod._fit_type(diag, d) == "int32"
             cells = all_rows(diag, 0, block_size(diag))
             expected = [
                 fits_diameter(IntegerLattice(n, search_mod._basis(diag, row)), d)
                 for row in cells.tolist()
             ]
             assert search_mod._fit_rows(diag, cells, simplex).tolist() == expected
+            assert search_mod._fit_rows(diag, cells.astype(np.int32), simplex).tolist() == expected
             checked += len(expected)
             fitting += sum(expected)
     assert checked == lattices and fitting > 0
@@ -548,6 +567,7 @@ def check_classes_and_skips(n, d, f_value):
             size = block_size(diag)
             cells = all_rows(diag, 0, size)
             fits = search_mod._fit_rows(diag, cells, simplex).tolist()
+            assert search_mod._fit_rows(diag, cells.astype(np.int32), simplex).tolist() == fits
             if search_mod._ruled_out(diag, d):
                 assert not any(fits), diag
                 skipped += 1
@@ -557,7 +577,8 @@ def check_classes_and_skips(n, d, f_value):
             assert [verdict[rep] for rep in reps] == fits, diag
             least = [rep == row for rep, row in zip(reps, rows)]
             for lo, hi in [(0, size), (size // 3, size), (1, (size + 1) // 2), (size - 1, size)]:
-                made = [tuple(row) for row in search_mod._block_rows(diag, lo, hi).tolist()]
+                made = search_mod._block_rows(diag, lo, hi, search_mod._fit_type(diag, d))
+                made = [tuple(row) for row in made.tolist()]
                 assert made == [row for row, own in zip(rows[lo:hi], least[lo:hi]) if own], diag
             masked += size - sum(least)
     return skipped, masked
@@ -637,36 +658,50 @@ def test_search_matches_the_unreduced_scan(n, d):
 
 
 def test_fit_rows_near_the_int64_bound_with_negative_intermediates():
-    # coordinates up to d, where one more would leave int64; with the last
-    # coordinate near d and the others near 0, the loop over free cells
-    # drives coordinates 0 and 1 to about -2d/3 before their reductions.
-    # One point per class mod 3 meets every coset here; each point's own
-    # multiple of 3 means a wrapped or truncated intermediate would show.
+    # coordinates up to d, where one more would leave the type picked (int32
+    # or int64); with the last coordinate near d and the others near 0, the
+    # loop over free cells drives coordinates 0 and 1 to about -2d/3 before
+    # their reductions.  One point per class mod 3 meets every coset here;
+    # each point's own multiple of 3 means a wrapped or truncated
+    # intermediate would show.  Each d is also run at the next one up,
+    # where int32 gives way to int64 and int64 to the exact scan.
     diag = (3, 3, 3)
-    d = search_mod._INT64_MAX // 27
-    assert search_mod._int64_safe(diag, d) and not search_mod._int64_safe(diag, d + 1)
-    rng = random.Random(27)
-    residues = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
-    top = (d - 2) // 3
-    low = [(a, b, 3 * rng.randint(top - 10**6, top) + c) for a, b, c in residues]
-    spread = [tuple(3 * rng.randint(0, top) + x for x in r) for r in residues]
-    sets = [low, spread, low[:13] + spread[13:]]
-    sets += [s[:k] + s[k + 1:] for s in sets for k in (0, 13)]
     cells = all_rows(diag, 0, block_size(diag))
     lattices = [IntegerLattice(3, search_mod._basis(diag, row)) for row in cells.tolist()]
-    seen = set()
-    for subset in sets:
-        got = search_mod._fit_rows(diag, cells, np.array(subset, dtype=np.int64)).tolist()
-        assert got == [len({reduce_mod(lattice, p) for p in subset}) == 27 for lattice in lattices]
-        seen.update(got)
-    assert seen == {True, False}
+    for d, dtype, wider in [
+        ((2**31 - 1) // 27, "int32", "int64"),
+        ((2**31 - 1) // 27 + 1, "int64", "int64"),
+        ((2**63 - 1) // 27, "int64", None),
+    ]:
+        assert search_mod._fit_type(diag, d) == dtype
+        assert search_mod._fit_type(diag, d + 1) == wider
+        rng = random.Random(27)
+        residues = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+        top = (d - 2) // 3
+        low = [(a, b, 3 * rng.randint(top - 10**6, top) + c) for a, b, c in residues]
+        spread = [tuple(3 * rng.randint(0, top) + x for x in r) for r in residues]
+        sets = [low, spread, low[:13] + spread[13:]]
+        sets += [s[:k] + s[k + 1:] for s in sets for k in (0, 13)]
+        seen = set()
+        for subset in sets:
+            simplex = np.array(subset, dtype=np.int64)
+            got = search_mod._fit_rows(diag, cells.astype(dtype), simplex).tolist()
+            assert got == [len({reduce_mod(lattice, p) for p in subset}) == 27 for lattice in lattices]
+            seen.update(got)
+        assert seen == {True, False}
 
 
 def test_fit_test_flat_index_stays_within_int64():
-    # the fit test scatters rows x m cells through one flat index
-    assert search_mod._CHUNK_CELLS <= search_mod._INT64_MAX
-    assert search_mod._int64_safe((1 << 31, 1 << 31), 0)
-    assert not search_mod._int64_safe((1 << 32, 1 << 31), 0)
+    # the fit test scatters rows x m cells through one flat index, in the
+    # type picked from m, the row count and the reduction bound
+    assert search_mod._FIT_TYPES == tuple(
+        (name, int(np.iinfo(name).max)) for name in ("int32", "int64")
+    )
+    assert search_mod._CHUNK_CELLS <= min(most for _, most in search_mod._FIT_TYPES)
+    assert search_mod._fit_type((1 << 15, 1 << 15), 0) == "int32"
+    assert search_mod._fit_type((1 << 16, 1 << 15), 0) == "int64"
+    assert search_mod._fit_type((1 << 31, 1 << 31), 0) == "int64"
+    assert search_mod._fit_type((1 << 32, 1 << 31), 0) is None
     diags = [diag for n, m in [(2, 108), (3, 20), (3, 35), (4, 15), (5, 6)]
              for diag in search_mod._diagonals(n, m)]
     diags += [(1 << 21, 1, 1), (1 << 40, 1), (1, 1 << 20), (3, 5, 7, 11, 13, 17)]
@@ -680,24 +715,37 @@ def test_fit_test_flat_index_stays_within_int64():
 
 
 def test_int64_fallback_gives_same_report(monkeypatch):
-    assert search_mod._int64_safe((16, 2, 1), 4)
-    assert not search_mod._int64_safe((1 << 21, 1 << 21, 1 << 21, 1), 4)
+    assert search_mod._fit_type((16, 2, 1), 4) == "int32"
+    assert search_mod._fit_type((1 << 21, 1 << 21, 1 << 21, 1), 4) is None
     # (5, 1) and (6, 1) mix free and pinned cells in one key
     cases = [(2, 5), (3, 2), (4, 1), (5, 1), (6, 1)]
-    reports = [brute_force_f(n, d) for n, d in cases]
-    calls = []
+    calls, types = [], []
+    fit_rows = search_mod._fit_rows
+
+    def typed(diag, cells, simplex):
+        types.append(str(cells.dtype))
+        return fit_rows(diag, cells, simplex)
 
     def counted(lattice, d):
         calls.append(lattice)
         return fits_diameter(lattice, d)
 
+    monkeypatch.setattr(search_mod, "_fit_rows", typed)
     monkeypatch.setattr(search_mod, "fits_diameter", counted)
-    # -1: every group falls back; 60: groups with larger bounds fall back
-    for limit in (-1, 60):
-        monkeypatch.setattr(search_mod, "_INT64_MAX", limit)
+    reports = [brute_force_f(n, d) for n, d in cases]
+    assert set(types) == {"int32"} and not calls
+    # no type: every block falls back; int64 said to end at 60: blocks with
+    # larger bounds fall back; int64 alone: every block runs in int64
+    for table, fallback, batched in [
+        ((), True, set()),
+        ((("int64", 60),), True, {"int64"}),
+        ((("int64", 2**63 - 1),), False, {"int64"}),
+    ]:
+        monkeypatch.setattr(search_mod, "_FIT_TYPES", table)
         calls.clear()
+        types.clear()
         assert [brute_force_f(n, d) for n, d in cases] == reports
-        assert calls
+        assert bool(calls) == fallback and set(types) == batched
 
 
 def test_density_trend_values():
