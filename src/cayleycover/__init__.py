@@ -46,6 +46,7 @@ from .errors import (
     DimensionMismatch,
     MultipleMinimalNotches,
     NotACovering,
+    SearchTooLarge,
     SingularAfterRounding,
     SingularBasis,
 )

@@ -5,14 +5,15 @@ Subcommands: ``tile``, ``cover``, ``density-table``, ``search-f``,
 configuration; the random seed defaults to a fixed constant, so identical
 invocations reproduce identical results.  Exit codes: 0 success, 1 a
 mathematical claim failed (not a covering, a bound check failed), 2 usage
-error or out of memory.
+error, out of memory, or a search too large to run.
 
 Every integer flag has a least value, stated once in ``_LEAST`` and checked
 in ``main`` before any command runs.  ``verify-bounds`` runs
 ``bounds.bound_check_battery`` and renders the checks it returns; the
-battery, its pass gates and its input rules live in ``bounds``, and its
-``BadBatteryInput`` is the one exception of a run that exits 2 as a usage
-error.
+battery, its pass gates and its input rules live in ``bounds``.  Two
+exceptions of a run exit 2: the battery's ``BadBatteryInput``, a usage
+error, and the search's ``SearchTooLarge``, raised when ``search-f`` or
+``density-table`` reaches lattices whose fit test could overflow int64.
 
 JSON output is bit-stable: keys sorted, floats rounded to 12 significant
 digits, rationals emitted as ``{"num": ..., "den": ...}`` objects.  The
@@ -47,7 +48,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__, bounds
 from .covering import continuous_cover_falsify, covers_discrete
-from .errors import BadBatteryInput, CayleyCoverError
+from .errors import BadBatteryInput, CayleyCoverError, SearchTooLarge
 from .lattices import IntegerLattice, lattice_from_json_dict, lattice_to_json_dict
 from .search import brute_force_f, density_trend, fn_upper_bound, theta_lower_bound
 from .tiles import build_tile, kernel_backend, tile_to_json_dict
@@ -456,7 +457,7 @@ def main(argv=None) -> int:
     try:
         _check_least_values(args)
         return args.func(args)
-    except (OSError, UsageError, BadBatteryInput) as exc:
+    except (OSError, UsageError, BadBatteryInput, SearchTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -41,6 +41,11 @@ class CapTooSmall(CayleyCoverError):
     """The requested search cap leaves no indices to scan."""
 
 
+class SearchTooLarge(CayleyCoverError):
+    """A degree-diameter search reached lattices whose fit test could
+    overflow int64."""
+
+
 class BadSampleCount(CayleyCoverError):
     """A Monte-Carlo estimate was requested with fewer than one sample."""
 

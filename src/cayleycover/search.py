@@ -55,8 +55,10 @@ witness:
 - ``_fit_type`` picks each block's type once, from a worst-case bound on
   the values its arrays can take: int32 when the bound allows, which
   halves the memory each chunk moves, else int64.  A block whose values
-  could leave int64 is tested lattice by lattice with the exact scan
-  ``fits_diameter`` instead.
+  could leave int64, and that has rows left to test, stops the search
+  with ``SearchTooLarge``; such a block is far too large to walk anyway.
+  The simplex is built once, in the identity block's type, which every
+  block's type holds, so the kernel gets it as a view.
 
 The functions that build and test the arrays import numpy when a search
 runs; importing the module does not load it.
@@ -71,10 +73,10 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .covering import simplex_size
-from .errors import CapTooSmall
-# enumerate_sublattices is not called here, but bench/tracing.py rebinds
-# search.enumerate_sublattices (as it rebinds search.fits_diameter), so the
-# name must stay bound
+from .errors import CapTooSmall, SearchTooLarge
+# neither enumerate_sublattices nor fits_diameter is called here, but
+# bench/tracing.py rebinds search.enumerate_sublattices and
+# search.fits_diameter, so both names must stay bound
 from .lattices import (
     IntegerLattice,
     count_sublattices,
@@ -171,7 +173,7 @@ def _fit_type(diag: Sequence[int], d: int) -> Optional[str]:
     """The narrowest integer type of ``_FIT_TYPES``, int32 and then int64,
     that holds every value the block's arrays take when points with
     coordinates in [0, d] are reduced through its HNFs, or None when
-    neither does.
+    neither does; ``_least_fit`` then refuses the block.
 
     Row i's quotient is at most the bound on coordinate i, and a free cell
     (i, j) is below diag[j], so coordinate j grows by at most that product.
@@ -280,9 +282,13 @@ def _rank(diag: Sequence[int], key) -> int:
 
 
 def _simplex(n: int, d: int) -> np.ndarray:
-    """The C(d+n, n) points of the radius-d simplex, one per row."""
+    """The C(d+n, n) points of the radius-d simplex, one per row, in the
+    type ``_fit_type`` gives the identity's block (1, ..., 1) at d.  Its
+    bound, max(d, 1), is the least of any block's, so ``_fit_rows`` views
+    the simplex in a block's type or widens it.  When that type is None,
+    numpy picks one, and ``_fit_type`` gives every block None."""
     import numpy as np
-    return np.array(list(simplex_points(n, d)), dtype=np.int64)
+    return np.array(list(simplex_points(n, d)), dtype=_fit_type((1,) * n, d))
 
 
 def _fit_rows(diag: Sequence[int], cells: np.ndarray, simplex: np.ndarray) -> np.ndarray:
@@ -295,7 +301,8 @@ def _fit_rows(diag: Sequence[int], cells: np.ndarray, simplex: np.ndarray) -> np
     then in [0, diag[i]); the others, and only those, are reduced at the
     end.  Row k's residues are encoded in mixed radix after the offset k m,
     so one flat scatter of rows x m cells marks the cosets of every row.
-    Every array is of the cells' integer type, the simplex cast to it."""
+    Every array is of the cells' integer type; the simplex is viewed in it
+    when it is of that type already, else widened, and never written."""
     import numpy as np
     free = _free_cells(diag)
     m = math.prod(diag)
@@ -337,20 +344,21 @@ def _chunk_rows(diag: Sequence[int], points: int) -> int:
 
 def _least_fit(diag: tuple[int, ...], d: int, simplex: np.ndarray, limit: int):
     """Cells of the first of the block's rows 0..limit-1 that fits, or None.
-    Only the rows ``_block_rows`` makes are tested."""
-    import numpy as np
+    Only the rows ``_block_rows`` makes are tested.  Raises
+    ``SearchTooLarge`` when rows are left to test and ``_fit_type`` finds
+    no type for them."""
     size = _chunk_rows(diag, len(simplex))
     dtype = _fit_type(diag, d)
+    if dtype is None and limit > 0:
+        raise SearchTooLarge(
+            f"n = {len(diag)}, d = {d}: the lattices of index {math.prod(diag)} "
+            f"with diagonal {diag} could overflow int64 in the fit test"
+        )
     for lo in range(0, limit, size):
-        cells = _block_rows(diag, lo, min(lo + size, limit), dtype or "int64")
-        if dtype is not None:
-            hits = np.flatnonzero(_fit_rows(diag, cells, simplex))
-            if len(hits):
-                return cells[hits[0]].tolist()
-            continue
-        for row in cells.tolist():
-            if fits_diameter(IntegerLattice(len(diag), _basis(diag, row)), d):
-                return row
+        cells = _block_rows(diag, lo, min(lo + size, limit), dtype)
+        fits = _fit_rows(diag, cells, simplex)
+        if fits.any():
+            return cells[fits.argmax()].tolist()
     return None
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cayleycover
-from cayleycover import bounds, build_tile, cli, covering, fn_upper_bound
+from cayleycover import bounds, build_tile, cli, covering, fn_upper_bound, search
 from cayleycover.cli import emit_report, main
 from cayleycover.lattices import lattice_to_json_dict
 from cayleycover.tiles import tile_to_json_dict
@@ -618,6 +618,24 @@ def test_battery_input_errors_exit_2_and_nothing_else_does(monkeypatch, capsys):
     monkeypatch.setattr(bounds, "_region_estimates", broken)
     with pytest.raises(ValueError, match="not an input error"):
         main(["verify-bounds", "--method", "quad"])
+
+
+def test_a_search_too_large_exits_2_with_one_line(monkeypatch, tmp_path, capsys):
+    # with no type for the fit test, the first block tested has none
+    monkeypatch.setattr(search, "_FIT_TYPES", ())
+    out = tmp_path / "out"
+    for argv, message in [
+        (["search-f", "--n", "2", "--d", "5"],
+         "n = 2, d = 5: the lattices of index 16 with diagonal (4, 4)"),
+        (["density-table", "--n", "3", "--d-range", "1..3"],
+         "n = 3, d = 1: the lattices of index 4 with diagonal (2, 1, 2)"),
+    ]:
+        for extra in ([], ["--out", str(out)]):
+            assert main(argv + extra) == 2
+            assert capsys.readouterr() == (
+                "", f"error: {message} could overflow int64 in the fit test\n"
+            )
+    assert not out.exists()
 
 
 def test_out_of_memory_exits_2(lattice_file, monkeypatch, capsys):

@@ -16,6 +16,7 @@ from cayleycover import (
     CapTooSmall,
     IntegerLattice,
     IntegralEstimate,
+    SearchTooLarge,
     brute_force_f,
     build_tile,
     density_trend,
@@ -317,11 +318,23 @@ def test_one_shot_queries_load_no_pool(tmp_path):
     assert _modules_after(calls, ["concurrent", "multiprocessing"]) == [[0] * len(calls), []]
 
 
+@pytest.fixture
+def no_per_lattice_scan(monkeypatch):
+    """Make the exact per-lattice scan raise if the search calls it: the
+    batched fit test decides every block."""
+    def refused(lattice, d):
+        raise AssertionError("the search ran the per-lattice scan")
+
+    monkeypatch.setattr(search_mod, "fits_diameter", refused)
+
+
+@pytest.mark.usefixtures("no_per_lattice_scan")
 def test_candidates_scanned_pinned():
     for (n, d), scanned in BENCH_GRID_SCANNED.items():
         assert brute_force_f(n, d).candidates_scanned == scanned
 
 
+@pytest.mark.usefixtures("no_per_lattice_scan")
 def test_larger_points_pinned():
     for (n, d), (f_value, witness, scanned) in LARGER_POINTS.items():
         report = brute_force_f(n, d)
@@ -664,7 +677,7 @@ def test_fit_rows_near_the_int64_bound_with_negative_intermediates():
     # their reductions.  One point per class mod 3 meets every coset here;
     # each point's own multiple of 3 means a wrapped or truncated
     # intermediate would show.  Each d is also run at the next one up,
-    # where int32 gives way to int64 and int64 to the exact scan.
+    # where int32 gives way to int64 and int64 to no type at all.
     diag = (3, 3, 3)
     cells = all_rows(diag, 0, block_size(diag))
     lattices = [IntegerLattice(3, search_mod._basis(diag, row)) for row in cells.tolist()]
@@ -714,38 +727,68 @@ def test_fit_test_flat_index_stays_within_int64():
             assert rows * m <= max(search_mod._CHUNK_CELLS, m)
 
 
-def test_int64_fallback_gives_same_report(monkeypatch):
+def test_search_refuses_a_block_no_fit_type_holds(monkeypatch):
     assert search_mod._fit_type((16, 2, 1), 4) == "int32"
     assert search_mod._fit_type((1 << 21, 1 << 21, 1 << 21, 1), 4) is None
     # (5, 1) and (6, 1) mix free and pinned cells in one key
     cases = [(2, 5), (3, 2), (4, 1), (5, 1), (6, 1)]
-    calls, types = [], []
+    types = []
     fit_rows = search_mod._fit_rows
 
     def typed(diag, cells, simplex):
         types.append(str(cells.dtype))
         return fit_rows(diag, cells, simplex)
 
-    def counted(lattice, d):
-        calls.append(lattice)
-        return fits_diameter(lattice, d)
-
     monkeypatch.setattr(search_mod, "_fit_rows", typed)
-    monkeypatch.setattr(search_mod, "fits_diameter", counted)
     reports = [brute_force_f(n, d) for n, d in cases]
-    assert set(types) == {"int32"} and not calls
-    # no type: every block falls back; int64 said to end at 60: blocks with
-    # larger bounds fall back; int64 alone: every block runs in int64
-    for table, fallback, batched in [
-        ((), True, set()),
-        ((("int64", 60),), True, {"int64"}),
-        ((("int64", 2**63 - 1),), False, {"int64"}),
-    ]:
+    assert set(types) == {"int32"}
+    # no type, or int64 said to end at 60: in every case some block with
+    # rows to test gets no type, and the search stops there
+    for table in [(), (("int64", 60),)]:
         monkeypatch.setattr(search_mod, "_FIT_TYPES", table)
-        calls.clear()
-        types.clear()
-        assert [brute_force_f(n, d) for n, d in cases] == reports
-        assert bool(calls) == fallback and set(types) == batched
+        for n, d in cases:
+            with pytest.raises(SearchTooLarge, match=f"^n = {n}, d = {d}: the lattices of index"):
+                brute_force_f(n, d)
+    # int64 alone: every block runs in int64, with the same reports
+    monkeypatch.setattr(search_mod, "_FIT_TYPES", (("int64", 2**63 - 1),))
+    types.clear()
+    assert [brute_force_f(n, d) for n, d in cases] == reports
+    assert set(types) == {"int64"}
+    # int64 said to end at 320: at (2, 5) every block with rows to test
+    # gets it, while (16, 1), bound 1280, follows the witness of index 16
+    # with no row below it, so it is passed over
+    monkeypatch.setattr(search_mod, "_FIT_TYPES", (("int64", 320),))
+    passed = []
+    least_fit = search_mod._least_fit
+
+    def spied(diag, d, simplex, limit):
+        passed.append((diag, limit, search_mod._fit_type(diag, d)))
+        return least_fit(diag, d, simplex, limit)
+
+    monkeypatch.setattr(search_mod, "_least_fit", spied)
+    assert brute_force_f(2, 5) == reports[0]
+    assert ((16, 1), 0, None) in passed
+    assert all(dtype == "int64" for _, limit, dtype in passed if limit > 0)
+
+
+def test_fit_rows_and_density_tables_leave_the_simplex_unwritten(monkeypatch):
+    # the simplex is built in int32 here, as every block is tested, so the
+    # kernel reads it through views; none of them may write it
+    simplex = search_mod._simplex(3, 3)
+    assert simplex.dtype == np.int32
+    before = simplex.tobytes()
+    for diag in search_mod._diagonals(3, 12):
+        size = math.prod(diag[j] for _, j in search_mod._free_cells(diag))
+        cells = search_mod._block_rows(diag, 0, size, search_mod._fit_type(diag, 3))
+        assert cells.dtype == np.int32
+        search_mod._fit_rows(diag, cells, simplex)
+    assert simplex.tobytes() == before
+    # a density table searches each radius on a prefix view of one simplex
+    built = []
+    make = search_mod._simplex
+    monkeypatch.setattr(search_mod, "_simplex", lambda n, d: built.append(make(n, d)) or built[-1])
+    density_trend(3, [3, 1, 2, 0])
+    assert len(built) == 1 and built[0].tobytes() == before
 
 
 def test_density_trend_values():
