@@ -294,6 +294,87 @@ def test_density_table_golden(tmp_path, capsys):
     assert out.read_text() == (GOLDEN / "density_table_3_1_3.csv").read_text()
 
 
+COLD_PROBE = """
+import atexit, json, runpy, sys
+listing, sys.argv = sys.argv[1], ["cayleycover.cli", *sys.argv[2:]]
+
+@atexit.register
+def write_modules():
+    with open(listing, "w") as fh:
+        json.dump(sorted(sys.modules), fh)
+
+runpy.run_module("cayleycover.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _cold_run(argv, cwd):
+    """Exit code, stdout, stderr and loaded modules of one CLI run in a
+    fresh interpreter, started as ``python -m cayleycover.cli argv`` starts
+    it (``runpy``), with the modules listed at exit."""
+    src = str(Path(cli.__file__).parents[1])
+    listing = cwd / "modules.json"
+    run = subprocess.run(
+        [sys.executable, "-c", COLD_PROBE, str(listing), *argv],
+        capture_output=True, text=True, cwd=cwd, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return run.returncode, run.stdout, run.stderr, set(json.loads(listing.read_text()))
+
+
+# (argv, golden file or None, exit code); a None golden is checked against
+# the same command run in process
+COLD_COMMANDS = [
+    *[
+        (argv + ["--lattice", f"{name}.lattice"], name, 1 if "_fail_" in name else 0)
+        for name, _, argv in GOLDEN_QUERIES
+    ],
+    (["search-f", "--n", "3", "--d", "3"], "search_f_3_3.json", 0),
+    (["density-table", "--n", "3", "--d-range", "1..3"], "density_table_3_1_3.csv", 0),
+    (["verify-bounds", "--method", "quad", "--d-star", "7/3", "--json"],
+     "verify_bounds_quad_7_3.json", 0),
+    (["theta-bounds", "--csv"], None, 0),
+    (["theta-bounds", "--d", "3"], None, 0),
+]
+
+
+@pytest.mark.parametrize("argv,golden,code", COLD_COMMANDS)
+def test_every_command_from_a_cold_start(argv, golden, code, tmp_path, capsys):
+    # in this process every module is already loaded, so a missing import
+    # shows only in a fresh interpreter
+    for name, basis, _ in GOLDEN_QUERIES:
+        (tmp_path / f"{name}.lattice").write_text(json.dumps({"n": len(basis), "basis": basis}))
+    returncode, out, err, imported = _cold_run(argv, tmp_path)
+    assert (returncode, err) == (code, "")
+    if golden is None:
+        assert main(argv) == code
+        expected = capsys.readouterr().out
+    else:
+        expected = (GOLDEN / golden).read_text()
+    if argv[0] == "search-f":
+        assert re.search(r'\n  "elapsed_ms": \d+,\n', out)
+        out = re.sub(r'\n  "elapsed_ms": \d+,\n', "\n", out)
+    assert out == expected
+    # bounds loads for verify-bounds alone, csv for the CSV writers alone
+    assert ("cayleycover.bounds" in imported) == (argv[0] == "verify-bounds")
+    assert ("csv" in imported) == (argv[0] == "density-table" or "--csv" in argv)
+
+
+def test_verify_bounds_seed_defaults_to_1729(capsys):
+    # the parser leaves --seed unset and the command fills in bounds'
+    # DEFAULT_SEED, so an unset seed and --seed 1729 give the same bytes
+    assert cli._build_parser().parse_args(["verify-bounds"]).seed is None
+    assert bounds.DEFAULT_SEED == 1729
+    base = ["verify-bounds", "--d-star", "5/2", "--samples", "4096", "--json"]
+    for method in ("mc", "quad"):
+        outputs = []
+        for seed in ([], ["--seed", "1729"], ["--seed", "1730"]):
+            main([*base, "--method", method, *seed])
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        # another seed moves the Monte-Carlo estimates only
+        assert (outputs[2] == outputs[0]) == (method == "quad")
+
+
 EXACT_CHECKS = [
     "no_notch_volume_identity",
     "notch_bound_identity",

@@ -246,10 +246,15 @@ def test_argument_guards_raise_value_error(call, message):
 
 
 def test_import_loads_no_process_machinery():
-    # the search runs in one process, so the package never loads a pool
+    # the search runs in one process, so the package never loads a pool:
+    # not when every exported name is loaded, nor when a search and a
+    # density table run
     src = os.path.dirname(os.path.dirname(search_mod.__file__))
     probe = (
-        "import sys, cayleycover; "
+        "import sys, cayleycover\n"
+        "for name in cayleycover.__all__: getattr(cayleycover, name)\n"
+        "assert cayleycover.brute_force_f(2, 3).f_value == cayleycover.f2_closed_form(3)\n"
+        "cayleycover.density_trend(2, [1, 2])\n"
         "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
     )
     env = dict(os.environ, PYTHONPATH=src)
@@ -257,6 +262,49 @@ def test_import_loads_no_process_machinery():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out == "[]\n"
+
+
+BARE_IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import cayleycover
+loaded = sorted(set(sys.modules) - before)
+try:
+    cayleycover.no_such_name
+except AttributeError as exc:
+    unknown = str(exc)
+search = cayleycover.search.__name__
+owners = {n: m for m, names in cayleycover._EXPORTS.items() for n in names}
+same = [
+    getattr(cayleycover, n) is getattr(sys.modules["cayleycover." + owners[n]], n)
+    for n in cayleycover.__all__
+]
+print(json.dumps([loaded, unknown, search, same, sorted(owners), dir(cayleycover)]))
+"""
+
+
+def test_bare_import_loads_no_submodule():
+    # names load on first use: a bare import loads none of the package's
+    # modules and none of the heavier ones they use
+    src = os.path.dirname(os.path.dirname(search_mod.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", BARE_IMPORT_PROBE],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    ).stdout
+    loaded, unknown, search, same, owned, listed = json.loads(out)
+    assert "cayleycover" in loaded
+    assert [m for m in loaded if m.startswith("cayleycover.")] == []
+    assert {"numpy", "threading", "csv"}.isdisjoint(loaded)
+    assert unknown == "module 'cayleycover' has no attribute 'no_such_name'"
+    # a bare submodule name resolves too
+    assert search == "cayleycover.search"
+    # every exported name, loaded from a fresh package, is its module's object
+    assert len(same) == 62 and all(same)
+    import cayleycover
+
+    assert sorted(cayleycover.__all__) == owned
+    assert set(owned) <= set(listed)
+    assert {"bounds", "covering", "errors", "lattices", "search", "tiles"} <= set(listed)
 
 
 MODULES_PROBE = """
